@@ -5,8 +5,8 @@ received signals (one per responding tag placement): the AP transmits
 once, and every exchange in the round shares ``timeline.samples``.  The
 per-exchange pipeline (:meth:`BackFiReader.decode`) then repeats a lot
 of excitation-only work per element -- the digital canceller's Gram
-matrix, the sync sweep's correlation tables and Gram factorisations,
-the Viterbi trellis' per-step Python dispatch.
+matrix, the sync sweep's Gram tables and factorisations, the Viterbi
+trellis' per-step Python dispatch.
 
 :class:`BatchedDecoder` runs the identical pipeline once over a whole
 stack of exchanges:
@@ -18,12 +18,14 @@ stack of exchanges:
   matrix / Gram factorisation and a multi-RHS solve;
 * the fine-timing sweep scores the full candidate grid for every
   element through :class:`~repro.reader.fastpath.BatchPreambleSolver`
-  (excitation tables and Gram LU shared), then replays
+  -- the solver the scalar search runs on a stack of one, its Gram
+  tables and factorisations shared by the batch -- then replays
   :func:`~repro.reader.sync.find_tag_timing`'s coarse/refine/walk
   selection per element on the precomputed metric table;
 * the reference channel estimate, MRC, soft demap and Viterbi decode
   run batched, grouped by winning preamble start (one group in the
-  common case).
+  common case); the Viterbi kernel is the one the scalar decoder runs
+  on a stack of one.
 
 Equivalence contract: every element's result matches a standalone
 ``reader.decode`` call to float64 rounding -- decoded bits and ok flags

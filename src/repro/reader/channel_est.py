@@ -120,6 +120,8 @@ def estimate_combined_channel(
     """
     x = np.asarray(x, dtype=np.complex128)
     y_clean = np.asarray(y_clean, dtype=np.complex128)
+    if preamble_start < 0:
+        raise ValueError("preamble starts before the capture")
     preamble = tag_preamble_phases(preamble_us, seed=preamble_seed)
     n_chips = int(round(preamble_us / PREAMBLE_CHIP_US))
     guard = n_taps  # skip the channel transient after each phase flip
@@ -129,18 +131,22 @@ def estimate_combined_channel(
     if rows.size < 4 * n_taps:
         raise ValueError("preamble too short for channel estimation")
 
-    # Rotate the received samples by the known chip phases so the target
-    # becomes a time-invariant convolution of x.
-    chip_phase = np.ones(y_clean.size, dtype=np.complex128)
-    pre_slice = slice(preamble_start,
-                      min(preamble_start + preamble.size, y_clean.size))
-    chip_phase[pre_slice] = preamble[: pre_slice.stop - pre_slice.start]
-    y_derot = y_clean * np.conj(chip_phase)
+    # Only the preamble span matters: rows plus the n_taps - 1 samples
+    # of excitation history the first row reaches back to.  Rotating the
+    # received rows by the known chip phases makes the target a
+    # time-invariant convolution of x; every row's convolution output is
+    # the same dot product as over the whole capture.
+    lo = max(int(rows[0]) - (n_taps - 1), 0)
+    hi = int(rows[-1]) + 1
+    x_span = x[lo:hi]
+    local = rows - lo
+    y_derot = np.zeros(hi - lo, dtype=np.complex128)
+    y_derot[local] = y_clean[rows] * np.conj(preamble[rows - preamble_start])
 
-    h = ls_channel_estimate(x, y_derot, n_taps, rows=rows)
+    h = ls_channel_estimate(x_span, y_derot, n_taps, rows=local)
 
-    recon = fast_convolve(x, h)[: y_clean.size]
-    resid = y_derot[rows] - recon[rows]
+    recon = fast_convolve(x_span, h)
+    resid = y_derot[local] - recon[local]
     residual_power = float(np.mean(np.abs(resid) ** 2))
     return ChannelEstimate(h_fb=h, residual_power=residual_power,
                            n_rows=int(rows.size))

@@ -1,237 +1,113 @@
-"""Batched normal-equation solver for the fine-timing search.
+"""Chip-comb normal-equation solver for the fine-timing search.
 
 The direct form of :func:`repro.reader.sync.find_tag_timing` re-runs a
 full SVD least-squares fit (:func:`estimate_combined_channel`) at every
-candidate offset -- dozens of independent ``lstsq`` calls per frame,
-each of which also reconstructs the excitation over the *whole* packet
-just to score a few hundred preamble rows.
+candidate offset -- dozens of independent ``lstsq`` calls per frame.
 
 This module removes the redundancy.  For a candidate preamble start
-``s`` the LS problem is ``min_h ||y_s - A_s h||`` where the rows of
-``A_s`` are length-``n_taps`` windows of the (fixed) excitation ``x``
-and ``y_s`` is the received signal derotated by the known preamble
-chips placed at ``s``.  Two observations make the sweep cheap:
+``s`` the LS problem is ``min_h ||y_s - A_s h||``: row ``r`` of ``A_s``
+is the excitation window ``x[r - k]`` (``k < n_taps``) and ``y_s[r]`` is
+the received sample derotated by the chip that covers it.  The rows of
+``s`` are ``r = s + c * P + j`` for every chip ``c < C`` and in-chip
+offset ``n_taps <= j < P`` (``P`` samples per chip; the first
+``n_taps`` samples of a chip are the channel transient after a phase
+flip).  Every per-candidate quantity is therefore a sum over a *comb*
+of rows spaced ``P`` apart:
 
-* The Gram matrix ``A_s^H A_s`` is Toeplitz up to chip-boundary terms:
-  entry ``(k, l)`` is a partial sum of the lag-``(k-l)`` sample
-  autocorrelation of ``x`` over the row windows.  Precomputing one
-  cumulative lag-autocorrelation table per lag (``n_taps`` cumsums over
-  the packet, done **once**) turns every per-offset Gram -- boundary
-  terms included, so the result is *exact* -- into a handful of table
-  lookups.
-* The right-hand side ``A_s^H y_s`` is a chip-weighted partial sum of
-  the lag-``k`` cross-correlation between ``x`` and ``y``; one more set
-  of ``n_taps`` cumulative tables serves every offset.
+* ``A_s^H A_s`` sums the Gram-pair products ``conj(x[r-k]) x[r-l]``,
+* ``A_s^H y_s`` sums ``conj(x[r-k]) y[r]`` weighted by the chip sign,
+* ``||y_s||^2`` sums ``|y[r]|^2``.
 
-All candidate offsets are then solved in a single batched Hermitian
-solve of ``n_taps x n_taps`` ridge-regularised normal equations, and
-the LS residual falls out algebraically (``||y||^2 - Re(b^H h) -
-lam^2 ||h||^2``) without ever reconstructing the packet.  The metric
-agrees with the direct form to float64 rounding, and
-``tests/test_fastpath.py`` asserts both paths pick the identical offset
-on the tier-1 scenarios.
+:class:`BatchPreambleSolver` forms those per-row products once over the
+rows the declared start window can reach -- for the Gram only the
+``n_taps`` lag products ``conj(x[m - d]) x[m]``, since entry ``(k, l)``
+is the lag ``k - l`` product at ``m = r - l`` -- sums each across the
+``C`` chips (the "comb": a band-matrix contraction over ``P``-row
+blocks, with the chip signs as weights for the right-hand side), then
+sums ``P - n_taps`` consecutive comb rows into one table row per
+candidate start.  An evaluation sweep gathers its candidates' rows --
+``O(T^2 S)`` for ``S`` candidates and ``T`` taps -- and solves every
+``T x T`` ridge-regularised system in one batched call.  The LS
+residual falls out algebraically (``||y||^2 - Re(b^H h) - lam^2
+||h||^2``) without reconstructing the packet.
+
+Every table entry is a direct sum of the reference estimator's own
+products -- no running sums are differenced -- so the metric matches
+:func:`estimate_combined_channel` up to summation order (the residual
+identity amplifies cancellation error, which is why running sums are
+avoided).  Rows past the capture end are never summed, so the fit drops
+them exactly as the reference estimator does.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..constants import SAMPLES_PER_US
 from ..dsp.backends import get_kernel
 from ..tag.tag import PREAMBLE_CHIP_US
 from ..utils.bits import barker_like_sequence
 
-__all__ = ["PreambleSolver", "BatchPreambleSolver"]
+__all__ = ["BatchPreambleSolver"]
 
 _RIDGE = 1e-3
 """Must match the default of :func:`ls_channel_estimate`, which the
 direct path uses -- the two paths solve the same regularised problem."""
 
 
-def _ridged_gram(p: np.ndarray, tap_shift: np.ndarray,
-                 lo: np.ndarray, hi: np.ndarray, n: int,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-candidate Gram matrices (ridge folded in) from the lag tables.
+def _chip_comb(rows: np.ndarray, weights: np.ndarray, n_blocks: int,
+               block: int) -> np.ndarray:
+    """``out[u] = sum_c weights[c] * rows[u + c * block]``.
 
-    ``p`` holds the cumulative lag-autocorrelation tables of the
-    excitation, ``lo``/``hi`` the per-candidate per-chip row bounds in
-    table coordinates.  Returns ``(g, lam2)`` with ``g`` of shape
-    ``(n_cand, t, t)``.  The excitation is shared by construction, so a
-    batch of received signals reuses one call's result for every
-    element -- the main saving of :class:`BatchPreambleSolver`.
+    ``rows`` holds ``(n_blocks + C - 1) * block`` rows (C = number of
+    weights) of a contiguous table; returns ``n_blocks * block`` rows.
+    Row ``u = q * block + p`` only ever meets rows of the same in-block
+    offset ``p``, so viewing the table as blocks turns the comb into a
+    band-matrix product over the block axis (one BLAS call per chunk of
+    ``C`` output blocks, so the band never outgrows ``C x (2C - 1)``).
+    Complex tables are contracted through their float64 view.
     """
-    t = p.shape[0]
-    n_cand = lo.shape[0]
-    idx_hi = np.clip(hi[None, :, :] - tap_shift, 0, n)       # (T, S, C)
-    idx_lo = np.clip(lo[None, :, :] - tap_shift, 0, n)
-    d_axis = np.arange(t)[:, None, None, None]
-    val = (p[d_axis, idx_hi[None, ...]]
-           - p[d_axis, idx_lo[None, ...]]).sum(axis=3)       # (D, T, S)
-    g = np.empty((n_cand, t, t), dtype=np.complex128)
-    kk, ll = np.tril_indices(t)
-    lower = val[kk - ll, kk, :]                               # (n_pairs, S)
-    g[:, kk, ll] = lower.T
-    strict = kk != ll
-    g[:, ll[strict], kk[strict]] = np.conj(lower[strict]).T
-
-    # Ridge identical to ls_channel_estimate: lam^2 is ridge times the
-    # mean column energy (the mean Gram diagonal).
-    diag = np.einsum("skk->sk", g).real
-    lam2 = _RIDGE * np.maximum(diag.mean(axis=1), 1e-300)
-    g[:, np.arange(t), np.arange(t)] += lam2[:, None]
-    return g, lam2
+    n_chips = weights.size
+    tail = rows.shape[1:]
+    flat = rows.reshape(n_blocks + n_chips - 1, -1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)
+    out = np.empty((n_blocks, flat.shape[1]))
+    q = np.arange(n_chips)
+    band = np.zeros((n_chips, 2 * n_chips - 1))
+    band[q[:, None], q[:, None] + q[None, :]] = weights
+    for q0 in range(0, n_blocks, n_chips):
+        m = min(n_chips, n_blocks - q0)
+        np.matmul(band[:m, : m + n_chips - 1],
+                  flat[q0: q0 + m + n_chips - 1], out=out[q0: q0 + m])
+    if np.iscomplexobj(rows):
+        out = out.view(np.complex128)
+    return out.reshape((n_blocks * block,) + tail)
 
 
-class PreambleSolver:
-    """Precomputed correlation tables for one (x, y) pair.
-
-    Build once per frame, then call :meth:`evaluate` with batches of
-    candidate preamble starts.  Mirrors the feasibility rules of
-    :func:`estimate_combined_channel` exactly: a candidate is infeasible
-    when it starts before the packet or keeps fewer than ``4 * n_taps``
-    in-chip rows after clipping at the packet end.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, preamble_us: float,
-                 *, n_taps: int, preamble_seed: int = 0x35,
-                 start_window: tuple[int, int] | None = None):
-        x = np.asarray(x, dtype=np.complex128)
-        y = np.asarray(y, dtype=np.complex128)
-        if x.size != y.size:
-            raise ValueError("x and y must be the same length")
-        n = x.size
-        self.n = n
-        self.n_taps = n_taps
-        sps_chip = int(PREAMBLE_CHIP_US * SAMPLES_PER_US)
-        n_chips = int(round(preamble_us / PREAMBLE_CHIP_US))
-        self.chips = barker_like_sequence(
-            n_chips, seed=preamble_seed).astype(np.complex128)
-        # Row windows relative to the preamble start: each chip keeps
-        # samples [guard, sps_chip) past its own start, with
-        # guard = n_taps skipping the channel transient at phase flips
-        # (same rule as _valid_preamble_rows).
-        guard = n_taps
-        c = np.arange(n_chips)
-        self._base_lo = guard + sps_chip * c
-        self._base_hi = sps_chip * (c + 1)
-
-        # The tables only need to cover the sample span the candidate
-        # starts can touch; a search window of a few microseconds keeps
-        # that to a fraction of the packet.
-        if start_window is None:
-            start_window = (0, n)
-        self._start_lo, self._start_hi = start_window
-        i0 = max(0, self._start_lo + guard - (n_taps - 1))
-        i1 = min(n, self._start_hi + n_chips * sps_chip)
-        if i1 < i0:
-            i0 = i1
-        self._i0, self._i1 = i0, i1
-        x = x[i0:i1]
-        y = y[i0:i1]
-        n = i1 - i0
-
-        xc = np.conj(x)
-        # P[d, i] = sum_{m < i} conj(x[m]) x[m+d]: cumulative lag-d
-        # autocorrelation of the excitation (Gram-matrix ingredients).
-        # The zero-padded tails make out-of-range cumsum entries clamp
-        # to the final partial sum automatically.
-        prods = np.zeros((n_taps, n), dtype=np.complex128)
-        for d in range(n_taps):
-            prods[d, : n - d] = xc[: n - d] * x[d:]
-        self._p = np.zeros((n_taps, n + 1), dtype=np.complex128)
-        np.cumsum(prods, axis=1, out=self._p[:, 1:])
-        # S[k, i] = sum_{r < i} conj(x[r-k]) y[r]: cumulative lag-k
-        # cross-correlation (right-hand-side ingredients).  Terms with
-        # r < k vanish because the convolution matrix zero-pads there.
-        for k in range(n_taps):
-            prods[k, :] = 0.0
-            prods[k, k:] = xc[: n - k] * y[k:]
-        self._s = np.zeros((n_taps, n + 1), dtype=np.complex128)
-        np.cumsum(prods, axis=1, out=self._s[:, 1:])
-        # E[i] = sum_{r < i} |y[r]|^2 for the residual identity.
-        self._e = np.concatenate([[0.0], np.cumsum(np.abs(y) ** 2)])
-        # Tap-shifted gather indices are shared by every batch: entry
-        # [k] of a (T, S, C) index block is clip(bound - k, 0, n).
-        self._tap_shift = np.arange(n_taps)[:, None, None]
-
-    def evaluate(self, starts: np.ndarray) -> tuple[
-            np.ndarray, np.ndarray, np.ndarray]:
-        """Solve the preamble LS fit at every candidate start.
-
-        Returns ``(feasible, residual_power, gain)`` arrays aligned with
-        ``starts``; infeasible entries hold NaN metrics.
-        """
-        starts = np.atleast_1d(np.asarray(starts, dtype=np.intp))
-        t = self.n_taps
-        i0, i1 = self._i0, self._i1
-        n_cand = starts.size
-        if starts.size and (starts.min() < self._start_lo
-                            or starts.max() > self._start_hi):
-            raise ValueError("candidate start outside the solver's "
-                             "declared start_window")
-
-        lo = np.clip(starts[:, None] + self._base_lo[None, :], i0, i1)
-        hi = np.clip(starts[:, None] + self._base_hi[None, :], i0, i1)
-        hi = np.maximum(hi, lo)
-        n_rows = (hi - lo).sum(axis=1)
-        feasible = (starts >= 0) & (n_rows >= 4 * t)
-        # Shift into table coordinates (tables cover [i0, i1]).
-        lo = lo - i0
-        hi = hi - i0
-        n = i1 - i0
-
-        # Right-hand sides: b[s, k] = sum_c conj(p_c) (S_k[hi] - S_k[lo]).
-        seg = self._s[:, hi] - self._s[:, lo]          # (T, S, C)
-        b = np.einsum("c,ksc->sk", np.conj(self.chips), seg)
-
-        # Exact per-offset Gram matrices from the lag tables.  For
-        # d = k - l >= 0: G[s, k, l] = sum_c P_d[hi - k] - P_d[lo - k].
-        # One fancy-indexed gather covers every (d, k) pair at once.
-        g, lam2 = _ridged_gram(self._p, self._tap_shift, lo, hi, n)
-
-        # Batched Hermitian solve; infeasible candidates get an identity
-        # system so one LAPACK call serves the whole batch.
-        g[~feasible] = np.eye(t, dtype=np.complex128)
-        b_solve = np.where(feasible[:, None], b, 0.0)
-        try:
-            h = get_kernel("solve")(g, b_solve[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            return (np.zeros(n_cand, dtype=bool),
-                    np.full(n_cand, np.nan), np.full(n_cand, np.nan))
-
-        gain = np.sum(np.abs(h) ** 2, axis=1)
-        ysq = (self._e[hi] - self._e[lo]).sum(axis=1)
-        # ||y - A h||^2 on the data rows: with (G + lam^2 I) h = b this
-        # collapses to ysq - Re(b^H h) - lam^2 ||h||^2.
-        resid = ysq - np.einsum("sk,sk->s", np.conj(b), h).real \
-            - lam2 * gain
-        resid = np.maximum(resid, 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            residual_power = np.where(n_rows > 0, resid / n_rows, np.nan)
-        feasible = feasible & (gain > 0)
-        residual_power = np.where(feasible, residual_power, np.nan)
-        gain = np.where(feasible, gain, np.nan)
-        return feasible, residual_power, gain
+def _window_sum(table: np.ndarray, width: int, n_out: int) -> np.ndarray:
+    """``out[i] = sum_{m < width} table[i + m]`` for ``i < n_out``."""
+    out = table[:n_out].copy()
+    for m in range(1, width):
+        out += table[m: m + n_out]
+    return out
 
 
 class BatchPreambleSolver:
-    """Correlation tables for one excitation against a *batch* of rx.
+    """Chip-comb tables for one excitation against a stack of rx.
 
-    The fine-timing sweep of a multi-tag round decodes many exchanges
-    that share the same excitation ``x`` (the AP transmits once, every
-    responder's signal is scored against it).  Everything in the LS
-    system that depends only on ``x`` -- the lag-autocorrelation tables,
-    every candidate's Gram matrix and its LU factorisation -- is
-    computed once here and shared across the batch; only the
-    right-hand-side cross-correlation tables and the received-energy
-    cumsums are per-element.  One stacked multi-RHS solve then scores
-    every (candidate, element) pair.
+    ``y_batch`` is ``(B, len(x))``; a single capture is a stack of one.
+    Everything that depends only on ``x`` -- every candidate's Gram
+    matrix and its ridge -- is built once and shared by the batch; the
+    right-hand sides and received energies carry the batch axis, and one
+    stacked multi-RHS solve scores every (candidate, element) pair.
 
-    Feasibility rules, ridge and residual algebra mirror
-    :class:`PreambleSolver` exactly, and the multi-RHS LAPACK solve
-    performs the same per-column triangular substitutions as the
-    one-element solve, so each element's metrics agree with its own
-    :class:`PreambleSolver` to float64 rounding.
+    Tables cover the candidate starts in ``start_window`` (inclusive;
+    default: the whole capture).  Feasibility mirrors
+    :func:`estimate_combined_channel` exactly: a candidate is infeasible
+    when it starts before the capture or keeps fewer than ``4 * n_taps``
+    in-chip rows before the capture end.
     """
 
     def __init__(self, x: np.ndarray, y_batch: np.ndarray,
@@ -245,44 +121,94 @@ class BatchPreambleSolver:
         n = x.size
         self.n = n
         self.n_batch = y.shape[0]
-        self.n_taps = n_taps
+        self.n_taps = t = n_taps
         sps_chip = int(PREAMBLE_CHIP_US * SAMPLES_PER_US)
         n_chips = int(round(preamble_us / PREAMBLE_CHIP_US))
-        self.chips = barker_like_sequence(
-            n_chips, seed=preamble_seed).astype(np.complex128)
-        guard = n_taps
-        c = np.arange(n_chips)
-        self._base_lo = guard + sps_chip * c
-        self._base_hi = sps_chip * (c + 1)
-
+        self.chips = barker_like_sequence(n_chips, seed=preamble_seed)
         if start_window is None:
             start_window = (0, n)
-        self._start_lo, self._start_hi = start_window
-        i0 = max(0, self._start_lo + guard - (n_taps - 1))
-        i1 = min(n, self._start_hi + n_chips * sps_chip)
-        if i1 < i0:
-            i0 = i1
-        self._i0, self._i1 = i0, i1
-        x = x[i0:i1]
-        y = y[:, i0:i1]
-        n = i1 - i0
+        lo, hi = self._start_lo, self._start_hi = start_window
+        n_starts = max(hi - lo + 1, 0)
+        width = sps_chip - t            # in-chip rows per chip
 
-        xc = np.conj(x)
-        prods = np.zeros((n_taps, n), dtype=np.complex128)
-        for d in range(n_taps):
-            prods[d, : n - d] = xc[: n - d] * x[d:]
-        self._p = np.zeros((n_taps, n + 1), dtype=np.complex128)
-        np.cumsum(prods, axis=1, out=self._p[:, 1:])
-        # Per-element cross-correlation tables S[k, b, i] and energy
-        # cumsums E[b, i]; the only O(batch) part of the build.
-        self._s = np.zeros((n_taps, self.n_batch, n + 1),
-                           dtype=np.complex128)
-        for k in range(n_taps):
-            self._s[k, :, k + 1:] = xc[None, : n - k] * y[:, k:]
-        np.cumsum(self._s, axis=2, out=self._s)
-        self._e = np.zeros((self.n_batch, n + 1))
-        np.cumsum(np.abs(y) ** 2, axis=1, out=self._e[:, 1:])
-        self._tap_shift = np.arange(n_taps)[:, None, None]
+        # One row table serves every sum.  Gram entry (k, l) of start s
+        # sums the lag product lam_d[m] = conj(x[m - d]) x[m] (d = k - l)
+        # over m = r - l for the rows r of s, so one comb over the lags
+        # indexed by v = s - l (n_v values) covers every (k, l); the
+        # RHS and energy sums of s are the comb entries at v = s.  Row
+        # i of the table is sample m0 + i.
+        n_v = n_starts + t - 1
+        n_blocks = -(-(n_v + width - 1) // sps_chip)
+        m0 = lo + 1
+        n_tab = (n_blocks + n_chips - 1) * sps_chip
+        xs = np.zeros(n_tab + t - 1, dtype=np.complex128)
+        a, b = max(m0 - t + 1, 0), min(m0 + n_tab, n)
+        if b > a:
+            xs[a - (m0 - t + 1): b - (m0 - t + 1)] = x[a:b]
+        xw = sliding_window_view(xs, t)[:, ::-1]          # x[m0 + i - k]
+        yr = np.zeros((n_tab, self.n_batch), dtype=np.complex128)
+        a = max(m0, 0)
+        if b > a:
+            yr[a - m0: b - m0] = y[:, a:b].T               # y[m0 + i]
+
+        xc = np.conj(xw)
+        lags = xc * xw[:, :1]                               # (rows, t)
+        # A lag product at m >= n - t + 1 belongs to a row at or past
+        # the capture end for some l; those are added back per (s, l)
+        # below, so rows past the end are never summed.
+        lags[max(min(n - t + 1 - m0, n_tab), 0):] = 0.0
+        rhs = xc[:, :, None] * yr[:, None, :]              # (rows, t, B)
+        energy = np.abs(yr) ** 2                            # (rows, B)
+
+        def start_sums(table, weights, n_out, skip=0):
+            comb = _chip_comb(table, weights, n_blocks, sps_chip)
+            return _window_sum(comb[skip:], width, n_out)
+
+        ones = np.ones(n_chips)
+        lag_sums = start_sums(lags, ones, n_v)              # (n_v, t)
+        kk, ll = np.tril_indices(t)
+        s_idx = np.arange(n_starts)
+        lower = lag_sums[s_idx[:, None] + (t - 1) - ll, kk - ll]
+        if hi + n_chips * sps_chip > n - t + 1:
+            lower += self._boundary_terms(x, lo + s_idx, kk, ll,
+                                          sps_chip, n_chips)
+        self._gram = gram = np.empty((n_starts, t, t), dtype=np.complex128)
+        gram[:, ll, kk] = np.conj(lower)
+        gram[:, kk, ll] = lower
+        # Ridge identical to ls_channel_estimate: lam^2 is ridge times
+        # the mean column energy (the mean Gram diagonal).
+        diag = np.einsum("skk->sk", gram).real
+        self._lam2 = _RIDGE * np.maximum(diag.mean(axis=1), 1e-300)
+        gram[:, np.arange(t), np.arange(t)] += self._lam2[:, None]
+        self._rhs = start_sums(rhs, self.chips, n_starts, t - 1)
+        self._ysq = start_sums(energy, ones, n_starts, t - 1)
+
+        # In-chip rows before the capture end, per start.
+        row0 = (lo + s_idx)[:, None] + t \
+            + sps_chip * np.arange(n_chips)[None, :]
+        self._n_rows = np.clip(n - row0, 0, width).sum(axis=1)
+
+    def _boundary_terms(self, x: np.ndarray, starts: np.ndarray,
+                        kk: np.ndarray, ll: np.ndarray, sps_chip: int,
+                        n_chips: int) -> np.ndarray:
+        """Gram terms the lag table zeroed whose row is still captured.
+
+        Entry ``(k, l)`` of start ``s`` adds ``lam_d[m]`` for
+        ``n - t + 1 <= m < n - l`` when row ``m + l`` (before the
+        capture end) is an in-chip row of ``s``.
+        """
+        t, n = self.n_taps, self.n
+        m = n - t + 1 + np.arange(t - 1)                    # (a,)
+        shifted = m[:, None] - np.arange(t)[None, :]         # m - d
+        ok = (shifted >= 0) & (shifted < n) & (m[:, None] >= 0)
+        xs = np.where(ok, x[np.clip(shifted, 0, n - 1)], 0.0)
+        lam = np.conj(xs) * xs[:, :1]                        # (a, d)
+        q = m[None, :, None] + ll[None, None, :] - starts[:, None, None]
+        keep = ((m[None, :, None] < n - ll[None, None, :])
+                & (q >= 0) & (q < n_chips * sps_chip)
+                & (q % sps_chip >= t))
+        return np.einsum("sae,ae->se", keep.astype(np.float64),
+                         lam[:, kk - ll])
 
     def evaluate(self, starts: np.ndarray) -> tuple[
             np.ndarray, np.ndarray, np.ndarray]:
@@ -293,49 +219,39 @@ class BatchPreambleSolver:
         """
         starts = np.atleast_1d(np.asarray(starts, dtype=np.intp))
         t = self.n_taps
-        i0, i1 = self._i0, self._i1
         nb = self.n_batch
         n_cand = starts.size
         if starts.size and (starts.min() < self._start_lo
                             or starts.max() > self._start_hi):
             raise ValueError("candidate start outside the solver's "
                              "declared start_window")
-
-        lo = np.clip(starts[:, None] + self._base_lo[None, :], i0, i1)
-        hi = np.clip(starts[:, None] + self._base_hi[None, :], i0, i1)
-        hi = np.maximum(hi, lo)
-        n_rows = (hi - lo).sum(axis=1)
+        i = starts - self._start_lo
+        n_rows = self._n_rows[i]
         geom_feasible = (starts >= 0) & (n_rows >= 4 * t)
-        lo = lo - i0
-        hi = hi - i0
-        n = i1 - i0
 
-        # Right-hand sides per element, accumulated chip by chip to
-        # bound the temporary at (T, nb, n_starts).
-        b = np.zeros((nb, n_cand, t), dtype=np.complex128)
-        for ci in range(self.chips.size):
-            seg = self._s[:, :, hi[:, ci]] - self._s[:, :, lo[:, ci]]
-            b += np.conj(self.chips[ci]) * seg.transpose(1, 2, 0)
-
-        g, lam2 = _ridged_gram(self._p, self._tap_shift, lo, hi, n)
-
-        g[~geom_feasible] = np.eye(t, dtype=np.complex128)
-        b_solve = np.where(geom_feasible[None, :, None], b, 0.0)
-        # One stacked solve: candidate s's LU factorisation serves all
-        # nb right-hand-side columns.
+        g = self._gram[i]
+        b = self._rhs[i]                                 # (S, t, nb)
+        b_solve = b
+        if not geom_feasible.all():
+            # Infeasible candidates get an identity system so one
+            # batched call serves the whole sweep.
+            g[~geom_feasible] = np.eye(t, dtype=np.complex128)
+            b_solve = np.where(geom_feasible[:, None, None], b, 0.0)
+        # One stacked solve: candidate s's factorisation serves all nb
+        # right-hand-side columns.
         try:
-            h = get_kernel("solve")(
-                g, b_solve.transpose(1, 2, 0)).transpose(2, 0, 1)
+            h = get_kernel("solve")(g, b_solve)          # (S, t, nb)
         except np.linalg.LinAlgError:
             shape = (nb, n_cand)
             return (np.zeros(shape, dtype=bool),
                     np.full(shape, np.nan), np.full(shape, np.nan))
 
-        gain = np.sum(np.abs(h) ** 2, axis=2)                # (nb, S)
-        ysq = (self._e[:, hi] - self._e[:, lo]).sum(axis=2)  # (nb, S)
-        resid = ysq - np.einsum("bsk,bsk->bs", np.conj(b), h).real \
-            - lam2[None, :] * gain
-        resid = np.maximum(resid, 0.0)
+        gain = np.sum(np.abs(h) ** 2, axis=1).T                  # (nb, S)
+        ysq = self._ysq[i].T                                     # (nb, S)
+        # ||y - A h||^2 on the data rows: with (G + lam^2 I) h = b this
+        # collapses to ysq - Re(b^H h) - lam^2 ||h||^2.
+        bh = np.einsum("skb,skb->bs", np.conj(b), h).real
+        resid = np.maximum(ysq - bh - self._lam2[i][None, :] * gain, 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
             residual_power = np.where(n_rows[None, :] > 0,
                                       resid / n_rows[None, :], np.nan)

@@ -11,9 +11,10 @@ the PN preamble, but reusing the estimator we already have.
 Two implementations of the search share identical selection logic:
 
 * the **fast path** (default) scores every candidate offset through
-  :class:`~repro.reader.fastpath.PreambleSolver` -- correlation tables
-  computed once, then one batched normal-equation solve per sweep --
-  and runs the full SVD estimator exactly once, at the winning offset;
+  :class:`~repro.reader.fastpath.BatchPreambleSolver` on a stack of one
+  -- chip-comb tables built once, then one batched normal-equation
+  solve per sweep -- and runs the full SVD estimator exactly once, at
+  the winning offset;
 * the **direct path** (``fast=False``, or ``REPRO_FASTPATH=0``) runs
   :func:`estimate_combined_channel` at every candidate, as the original
   pipeline did.  It is kept as the reference for the equivalence suite
@@ -39,7 +40,7 @@ from .channel_est import (
     estimate_combined_channel,
     preamble_condition_number,
 )
-from .fastpath import PreambleSolver
+from .fastpath import BatchPreambleSolver
 
 __all__ = ["SyncResult", "find_tag_timing", "replay_offset_selection"]
 
@@ -97,20 +98,21 @@ def find_tag_timing(
     if fast:
         # Every candidate the coarse sweep, refinement and boundary walk
         # can visit lies inside this window; the solver only builds its
-        # correlation tables over the samples the window can touch.
+        # tables over the rows the window can touch.
         window = (nominal_preamble_start - search - step_samples,
                   nominal_preamble_start + search + n_taps
                   + 2 * step_samples)
-        solver = PreambleSolver(x, y_clean, preamble_us,
-                                n_taps=n_taps, preamble_seed=preamble_seed,
-                                start_window=window)
+        solver = BatchPreambleSolver(
+            x, np.asarray(y_clean)[None], preamble_us, n_taps=n_taps,
+            preamble_seed=preamble_seed, start_window=window)
 
         def metric_batch(offsets: list[int]) -> list[float | None]:
             """Fast metric (or None = infeasible) per candidate offset."""
             nonlocal n_evaluated
             n_evaluated += len(offsets)
             starts = nominal_preamble_start + np.asarray(offsets)
-            feasible, residual_power, gain = solver.evaluate(starts)
+            feasible, residual_power, gain = (
+                a[0] for a in solver.evaluate(starts))
             return [
                 float(residual_power[i] / gain[i]
                       * penalty(int(starts[i]))) if feasible[i] else None

@@ -35,7 +35,7 @@ from repro.reader.cancellation import (
     AnalogCanceller,
     ls_channel_estimate,
 )
-from repro.reader.fastpath import PreambleSolver
+from repro.reader.fastpath import BatchPreambleSolver
 from repro.reader.sync import find_tag_timing
 from test_reader_pipeline import _make_link
 
@@ -281,9 +281,10 @@ class TestFineTimingEquivalence:
 
         rng = np.random.default_rng(7)
         tl, x, y, *_ = _make_link(rng, offset=3, noise_mw=1e-9)
-        solver = PreambleSolver(x, y, 32.0, n_taps=8)
+        solver = BatchPreambleSolver(x, y[None], 32.0, n_taps=8)
         starts = tl.nominal_preamble_start + np.arange(-10, 11)
-        feasible, residual_power, gain = solver.evaluate(starts)
+        feasible, residual_power, gain = (
+            a[0] for a in solver.evaluate(starts))
         for i, start in enumerate(starts):
             est = estimate_combined_channel(x, y, int(start), 32.0,
                                             n_taps=8)
@@ -296,8 +297,9 @@ class TestFineTimingEquivalence:
         rng = np.random.default_rng(8)
         tl, x, y, *_ = _make_link(rng)
         nominal = tl.nominal_preamble_start
-        solver = PreambleSolver(x, y, 32.0, n_taps=8,
-                                start_window=(nominal - 10, nominal + 10))
+        solver = BatchPreambleSolver(
+            x, y[None], 32.0, n_taps=8,
+            start_window=(nominal - 10, nominal + 10))
         with pytest.raises(ValueError, match="start_window"):
             solver.evaluate(np.array([nominal + 11]))
 
@@ -306,9 +308,10 @@ class TestFineTimingEquivalence:
         tl, x, y, *_ = _make_link(rng, offset=4, noise_mw=1e-9)
         nominal = tl.nominal_preamble_start
         starts = nominal + np.arange(-6, 7)
-        whole = PreambleSolver(x, y, 32.0, n_taps=8)
-        windowed = PreambleSolver(x, y, 32.0, n_taps=8,
-                                  start_window=(nominal - 6, nominal + 6))
+        whole = BatchPreambleSolver(x, y[None], 32.0, n_taps=8)
+        windowed = BatchPreambleSolver(
+            x, y[None], 32.0, n_taps=8,
+            start_window=(nominal - 6, nominal + 6))
         for a, b in zip(whole.evaluate(starts), windowed.evaluate(starts)):
             np.testing.assert_allclose(a, b, rtol=1e-9)
 

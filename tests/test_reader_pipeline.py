@@ -87,6 +87,44 @@ class TestChannelEstimation:
         with pytest.raises(ValueError):
             estimate_combined_channel(x, y, x.size - 10, 32.0)
 
+    @pytest.mark.parametrize("n_taps", [6, 12])
+    def test_preamble_span_matches_full_capture(self, rng, n_taps):
+        # The estimator derotates and reconvolves only the preamble
+        # span; the interior convolution outputs are the same dot
+        # products as over the whole capture, so the fit and residual
+        # must match the full-capture form bit for bit -- including
+        # starts within n_taps - 1 samples of sample 0 and a preamble
+        # cut short by the capture end.
+        from repro.reader.cancellation import ls_channel_estimate
+        from repro.reader.channel_est import _valid_preamble_rows
+
+        tl, x, y, *_ = _make_link(rng, offset=3, noise_mw=1e-8)
+        preamble = tag_preamble_phases(32.0)
+        nominal = tl.nominal_preamble_start
+        cut = nominal + preamble.size - 100
+        for start, xx, yy in [
+                (0, x, y), (1, x, y), (n_taps - 1, x, y), (n_taps, x, y),
+                (nominal, x, y), (nominal + 3, x, y),
+                (nominal, x[:cut], y[:cut])]:
+            rows = _valid_preamble_rows(start, 32, n_taps)
+            rows = rows[rows < yy.size]
+            chip_phase = np.ones(yy.size, dtype=np.complex128)
+            span = slice(start, min(start + preamble.size, yy.size))
+            chip_phase[span] = preamble[: span.stop - span.start]
+            y_derot = yy * np.conj(chip_phase)
+            h = ls_channel_estimate(xx, y_derot, n_taps, rows=rows)
+            resid = y_derot[rows] - np.convolve(xx, h)[rows]
+            est = estimate_combined_channel(xx, yy, start, 32.0,
+                                            n_taps=n_taps)
+            assert np.array_equal(est.h_fb, h)
+            assert est.residual_power == float(np.mean(np.abs(resid) ** 2))
+            assert est.n_rows == rows.size
+
+    def test_negative_start_rejected(self, rng):
+        tl, x, y, *_ = _make_link(rng)
+        with pytest.raises(ValueError, match="before the capture"):
+            estimate_combined_channel(x, y, -1, 32.0)
+
 
 class TestSync:
     @pytest.mark.parametrize("offset", [-20, -5, 0, 7, 20])
