@@ -29,7 +29,7 @@ from .multipath import (
     los_channel,
     rician_channel,
 )
-from .noise import awgn, noise_power_mw, thermal_noise_dbm
+from .noise import awgn, complex_normal, noise_power_mw, thermal_noise_dbm
 from .pathloss import (
     backscatter_roundtrip_loss_db,
     friis_pathloss_db,
@@ -63,6 +63,7 @@ __all__ = [
     "los_channel",
     "rician_channel",
     "awgn",
+    "complex_normal",
     "noise_power_mw",
     "thermal_noise_dbm",
     "backscatter_roundtrip_loss_db",

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..constants import ADC_BITS, CIRCULATOR_ISOLATION_DB
 from ..utils.conversions import db_to_linear, power
+from .noise import complex_normal
 
 __all__ = [
     "PaNonlinearity",
@@ -72,15 +73,26 @@ class Adc:
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
         """Quantise I and Q independently, clipping at full scale."""
+        return self._quantize(np.asarray(x, dtype=np.complex128),
+                              self.full_scale)
+
+    def _quantize(self, x: np.ndarray, full_scale) -> np.ndarray:
+        """:meth:`quantize` at ``full_scale``: a scalar, or an array that
+        broadcasts against ``x.shape + (2,)`` (e.g. one per row).
+
+        I and Q quantise alike, so both run as one pass over the
+        ``(..., n, 2)`` float64 view of ``x``.
+        """
         if self.bits < 1:
             raise ValueError("ADC needs at least 1 bit")
-        x = np.asarray(x, dtype=np.complex128)
         levels = 1 << self.bits
-        step = 2.0 * self.full_scale / levels
-        def q(v: np.ndarray) -> np.ndarray:
-            clipped = np.clip(v, -self.full_scale, self.full_scale - step)
-            return np.round(clipped / step) * step
-        return q(x.real) + 1j * q(x.imag)
+        step = 2.0 * full_scale / levels
+        iq = np.ascontiguousarray(x).view(np.float64).reshape(x.shape + (2,))
+        q = np.clip(iq, -full_scale, full_scale - step)
+        q /= step
+        np.round(q, out=q)
+        q *= step
+        return q[..., 0] + 1j * q[..., 1]
 
     def for_signal(self, x: np.ndarray, headroom_db: float = 9.0) -> "Adc":
         """An ADC whose full scale sits ``headroom_db`` above signal RMS.
@@ -92,6 +104,27 @@ class Adc:
             return self
         fs = rms * db_to_linear(headroom_db / 2.0) * np.sqrt(2.0)
         return Adc(bits=self.bits, full_scale=float(fs))
+
+    def agc_quantize(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """AGC then quantise each capture along the last axis.
+
+        Leading axes are a stack of captures.  Each row gets the full
+        scale :meth:`for_signal` picks from that row alone (the scalar
+        1-D :func:`~repro.utils.conversions.power`), then the whole stack
+        is clipped and rounded in one pass, so every row equals
+        ``self.for_signal(row).quantize(row)`` bit for bit.  Returns
+        ``(quantized, saturated)``; ``saturated`` (leading shape) flags
+        rows where some I or Q sample exceeded that row's full scale.
+        """
+        x = np.ascontiguousarray(x, dtype=np.complex128)
+        full_scale = np.array([
+            self.for_signal(row).full_scale
+            for row in x.reshape(-1, x.shape[-1])
+        ]).reshape(x.shape[:-1] + (1, 1))
+        row_scale = full_scale[..., 0, 0]
+        saturated = ((np.max(np.abs(x.real), axis=-1) > row_scale)
+                     | (np.max(np.abs(x.imag), axis=-1) > row_scale))
+        return self._quantize(x, full_scale), saturated
 
 
 def circulator_leakage_gain(isolation_db: float = CIRCULATOR_ISOLATION_DB) -> complex:
@@ -132,15 +165,18 @@ def ar1_drift_params(rms: float,
 
 
 def draw_ar1_innovations(
-    n: int, rms: float, innov_scale: float, rng: np.random.Generator,
+    n: int, rms: float, innov_scale: float, rng: np.random.Generator, *,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, complex]:
     """Draw one element's ``(innovations, initial state)`` pair.
 
     Exactly the draws :func:`coherence_impairment` makes, in the same
     generator order, so a batch producer can interleave these with its
-    other per-element draws and stay bit-identical to the scalar loop.
+    other per-element draws and stay bit-identical to the scalar loop;
+    ``out=`` takes the innovations row it owns (see
+    :func:`~repro.channel.noise.complex_normal`).
     """
-    w = innov_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    w = complex_normal(n, innov_scale, rng, out=out)
     prev = rms / np.sqrt(2.0) * (
         rng.standard_normal() + 1j * rng.standard_normal()
     )

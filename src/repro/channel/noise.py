@@ -17,7 +17,8 @@ from ..constants import (
     SAMPLE_RATE,
 )
 
-__all__ = ["thermal_noise_dbm", "awgn", "noise_power_mw"]
+__all__ = ["thermal_noise_dbm", "awgn", "complex_normal",
+           "noise_power_mw"]
 
 
 def thermal_noise_dbm(bandwidth_hz: float = SAMPLE_RATE,
@@ -35,18 +36,51 @@ def noise_power_mw(bandwidth_hz: float = SAMPLE_RATE,
     return 10.0 ** (thermal_noise_dbm(bandwidth_hz, noise_figure_db) / 10.0)
 
 
+def complex_normal(shape: int | tuple[int, ...], scale: float,
+                   rng: np.random.Generator, *,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """``scale * (N + 1j * N')`` for standard normal arrays ``N``, ``N'``.
+
+    Bit for bit the expression ``scale * (rng.standard_normal(shape) +
+    1j * rng.standard_normal(shape))`` for any non-zero ``scale`` (a zero
+    scale gives zeros that may differ in sign), and it leaves ``rng`` in
+    the same state: the real parts are the first ``size`` normals of one
+    ``2 * size`` draw, the imaginary parts the rest, each scaled straight
+    into its float64 plane of the result, with no complex temporaries.
+
+    ``out`` is where to write: a C-contiguous complex128 array of
+    ``shape`` the caller owns, e.g. one row of a batch stack.
+    """
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    elif (out.dtype != np.complex128 or not out.flags.c_contiguous
+          or out.shape != shape):
+        raise ValueError(
+            f"out must be a C-contiguous complex128 array of shape {shape}, "
+            f"got {out.dtype} {out.shape} "
+            f"(contiguous={out.flags.c_contiguous})")
+    size = out.size
+    z = rng.standard_normal(2 * size)
+    planes = out.reshape(-1).view(np.float64).reshape(size, 2)
+    np.multiply(z[:size], scale, out=planes[:, 0])
+    np.multiply(z[size:], scale, out=planes[:, 1])
+    return out
+
+
 def awgn(n: int | tuple[int, ...], power_mw: float,
-         rng: np.random.Generator | None = None) -> np.ndarray:
+         rng: np.random.Generator | None = None, *,
+         out: np.ndarray | None = None) -> np.ndarray:
     """Complex white Gaussian noise with the given mean power (mW units).
 
     ``n`` may be a shape tuple, e.g. ``(batch, n_samples)``, for one
     draw covering a whole stack of captures.  Note the sample stream
     then differs from ``batch`` successive scalar draws (the generator
     is consumed row-major in one call), so batch producers that promise
-    bit-identity with a scalar loop must draw per element instead.
+    bit-identity with a scalar loop must draw per element instead --
+    into their own rows with ``out=`` (see :func:`complex_normal`).
     """
     if power_mw < 0:
         raise ValueError("noise power must be non-negative")
     rng = rng or np.random.default_rng()
-    scale = np.sqrt(power_mw / 2.0)
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return complex_normal(n, np.sqrt(power_mw / 2.0), rng, out=out)

@@ -58,6 +58,9 @@ def _parity_table() -> np.ndarray:
 
 
 _PARITY = _parity_table()
+_PARITY_PAIRS = np.ascontiguousarray(_PARITY.T)
+"""``(register, 2)`` view of :data:`_PARITY`: one row per register value
+holds both generator outputs in transmission order."""
 
 
 @dataclass(frozen=True)
@@ -107,19 +110,15 @@ def conv_encode(bits: np.ndarray) -> np.ndarray:
     n = bits.size
     if n == 0:
         return np.empty(0, dtype=np.uint8)
-    # Build the 7-bit register value at each step: newest bit is LSB in
-    # standard 802.11 convention x[n], x[n-1], ..., x[n-6] dotted with g.
+    # The 7-bit register value at each step, x[n], x[n-1], ..., x[n-6]
+    # dotted with g: reg = sum_{k=0..6} x[n-k] << (6-k).  The newest bit
+    # is the MSB, so the octal generator masks match the 802.11 tap
+    # definition.  One shift per tap builds every step's register.
     padded = np.concatenate([np.zeros(CONSTRAINT - 1, dtype=np.uint8), bits])
-    # Window of 7 bits ending at each position, newest first.
-    # reg = sum_{k=0..6} x[n-k] << (6-k): newest bit is the MSB, so the
-    # octal generator masks match the 802.11 tap definition.
-    weights = 1 << np.arange(CONSTRAINT)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, CONSTRAINT)
-    reg = windows @ weights.astype(np.uint32)
-    out = np.empty(2 * n, dtype=np.uint8)
-    out[0::2] = _PARITY[0, reg]
-    out[1::2] = _PARITY[1, reg]
-    return out
+    reg = padded[:n].copy()
+    for k in range(1, CONSTRAINT):
+        reg |= padded[k:k + n] << k
+    return _PARITY_PAIRS[reg].reshape(-1)
 
 
 @lru_cache(maxsize=64)

@@ -42,11 +42,12 @@ del _n_bpsc
 
 
 def interleave(bits: np.ndarray, n_bpsc: int) -> np.ndarray:
-    """Interleave one OFDM symbol's worth of coded bits."""
+    """Interleave OFDM symbols' worth of coded bits (last axis; leading
+    axes are a stack of symbols)."""
     bits = np.asarray(bits)
-    idx = interleave_indices(bits.size, n_bpsc)
+    idx = interleave_indices(bits.shape[-1], n_bpsc)
     out = np.empty_like(bits)
-    out[idx] = bits
+    out[..., idx] = bits
     return out
 
 

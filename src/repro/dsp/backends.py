@@ -148,9 +148,19 @@ def _ar1_scipy(w: np.ndarray, rho: float, prev) -> np.ndarray:
     zi = np.broadcast_to(
         np.asarray(rho * np.asarray(prev), dtype=np.result_type(w, prev)),
         w.shape[:-1],
-    )[..., np.newaxis].copy()
-    y, _ = lfilter([1.0], [1.0, -rho], w, zi=zi)
-    return y
+    )[..., np.newaxis]
+    if w.dtype != np.complex128:
+        y, _ = lfilter([1.0], [1.0, -rho], w, zi=zi.copy())
+        return y
+    # A real rho never mixes real and imaginary parts, so filter the two
+    # float64 planes of the innovations' own buffer (the last axis of its
+    # (..., n, 2) view): per sample the same add and multiply as the
+    # complex recursion, bit for bit, without its complex arithmetic.
+    w = np.ascontiguousarray(w)
+    planes = w.view(np.float64).reshape(w.shape + (2,))
+    zi_planes = np.stack([zi.real, zi.imag], axis=-1)
+    y, _ = lfilter([1.0], [1.0, -rho], planes, axis=-2, zi=zi_planes)
+    return np.ascontiguousarray(y).view(np.complex128).reshape(w.shape)
 
 
 def _solve_scipy(a: np.ndarray, b: np.ndarray) -> np.ndarray:

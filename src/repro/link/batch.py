@@ -37,7 +37,9 @@ Options the batch cannot share -- non-WiFi excitation, interfering
 tags, fault plans, tag mobility, the real wake-up detector, client
 decode, or elements that disagree on the transmission parameters
 (tag id, preamble length, TX power) -- transparently fall back to the
-scalar loop, as does ``REPRO_FASTPATH=0``.
+scalar loop, as does ``REPRO_FASTPATH=0``.  A batch that falls back for
+disagreeing elements counts ``link.batch_scalar_fallback`` on the
+telemetry collector.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from ..constants import (
 )
 from ..dsp.fastpath import fastpath_enabled, stacked_convolve
 from ..tag.tag import BackFiTag
+from ..telemetry import get_collector
 from .protocol import build_ap_transmission
 from .session import SessionResult, run_backscatter_session
 
@@ -161,6 +164,7 @@ def run_exchange_batch(
         for t in tags
     ) and all(s.tx_power_mw == scenes[0].tx_power_mw for s in scenes)
     if not shareable:
+        get_collector().count("link.batch_scalar_fallback")
         return _scalar_loop()
 
     # --- shared AP transmission (built once) ---------------------------
@@ -209,10 +213,11 @@ def run_exchange_batch(
                 for s in scenes}
     if len(env_keys) == 1:
         # One drift process across the batch (the common sweep-cell
-        # shape): draw per element in the scalar order, then run both
-        # AR(1) recursions and the accumulation as stacked calls.  Each
-        # row's recursion and multiply are elementwise-identical to its
-        # scalar counterpart, so bits are preserved.
+        # shape): draw per element in the scalar order, each straight
+        # into its row of the stack, then run both AR(1) recursions and
+        # the accumulation as stacked calls.  Each row's recursion and
+        # multiply are elementwise-identical to its scalar counterpart,
+        # so bits are preserved.
         from ..dsp.backends import get_kernel
 
         (env_rms, env_coh_us), = env_keys
@@ -231,19 +236,29 @@ def run_exchange_batch(
         noise = np.empty((n, n_samp), dtype=np.complex128)
         for b in range(n):
             if env_rms > 0:
-                w_env[b], prev_env[b] = draw_ar1_innovations(
-                    n_samp, env_rms, scale_env, rngs[b])
+                _, prev_env[b] = draw_ar1_innovations(
+                    n_samp, env_rms, scale_env, rngs[b], out=w_env[b])
             if evm_on:
-                w_evm[b], prev_evm[b] = draw_ar1_innovations(
-                    n_samp, backscatter_evm, scale_evm, rngs[b])
-            noise[b] = awgn(n_samp, scenes[b].noise_floor_mw, rngs[b])
+                _, prev_evm[b] = draw_ar1_innovations(
+                    n_samp, backscatter_evm, scale_evm, rngs[b],
+                    out=w_evm[b])
+            awgn(n_samp, scenes[b].noise_floor_mw, rngs[b], out=noise[b])
+        # Keep these products exactly as written: numpy's SIMD complex
+        # multiply rounds by operand order, and it evaluates
+        # ``si * (1.0 + g)`` in place as ``t *= si`` only when the
+        # temporary ``t`` is large enough to elide, so an explicit
+        # operand order would change last bits at some stack sizes.
         ar1 = get_kernel("ar1")
         if env_rms > 0:
             si = si * (1.0 + ar1(w_env, rho_env, prev_env))
         if evm_on:
             backscatter = backscatter * (
                 1.0 + ar1(w_evm, rho_evm, prev_evm))
-        y = si + backscatter + zero + noise
+        # si + backscatter + zero + noise, summed in place; into si's
+        # buffer when the drift gain gave it a contiguous one of its own.
+        y = np.add(si, backscatter, out=si if env_rms > 0 else None)
+        y += zero
+        y += noise
     else:
         y = np.empty((n, n_samp), dtype=np.complex128)
         for b in range(n):

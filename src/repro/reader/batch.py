@@ -180,15 +180,7 @@ class BatchedDecoder:
             for b in range(n_batch)
         ]
 
-        quantized = np.empty_like(rx)
-        saturated = np.empty(n_batch, dtype=bool)
-        for b in range(n_batch):
-            adc = canceller.adc.for_signal(after_analog[b])
-            quantized[b] = adc.quantize(after_analog[b])
-            saturated[b] = bool(
-                np.max(np.abs(after_analog[b].real)) > adc.full_scale
-                or np.max(np.abs(after_analog[b].imag)) > adc.full_scale
-            )
+        quantized, saturated = canceller.adc.agc_quantize(after_analog)
 
         split = (3 * silent.size) // 4
         train_rows = silent[:split]

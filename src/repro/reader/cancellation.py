@@ -453,12 +453,8 @@ class StagedCancellation:
         # AGC + ADC: the converter is scaled to whatever survives analog
         # cancellation.  The AGC statistic is global (RMS over the whole
         # capture), which is why this stage sits behind the frame barrier.
-        adc = chain.adc.for_signal(after_analog)
-        quantized = adc.quantize(after_analog)
-        saturated = bool(
-            np.max(np.abs(after_analog.real)) > adc.full_scale
-            or np.max(np.abs(after_analog.imag)) > adc.full_scale
-        )
+        quantized, saturated = chain.adc.agc_quantize(after_analog)
+        saturated = bool(saturated)
 
         # Train the digital stage on the first 3/4 of the silent period
         # and report depth on the held-out tail, so LS overfitting does

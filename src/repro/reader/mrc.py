@@ -165,13 +165,14 @@ def _mrc_combine(
     else:
         # Batched: a per-element floor (scalar broadcasts), with the
         # residual-inference fallback applied per element exactly as the
-        # scalar path would.
-        floor = np.broadcast_to(noise_floor_arr, batch)
-        resid = y_use - combined[..., None] * t_use
-        m = y_use.shape[-1]
-        sigma2 = np.sum(np.abs(resid) ** 2, axis=(-2, -1)) \
-            / (n_symbols * max(m - 1, 1))
-        per_sample = np.where(floor > 0, floor, sigma2)
+        # scalar path would -- computed only when some floor needs it.
+        per_sample = np.broadcast_to(noise_floor_arr, batch)
+        if not np.all(per_sample > 0):
+            resid = y_use - combined[..., None] * t_use
+            m = y_use.shape[-1]
+            sigma2 = np.sum(np.abs(resid) ** 2, axis=(-2, -1)) \
+                / (n_symbols * max(m - 1, 1))
+            per_sample = np.where(per_sample > 0, per_sample, sigma2)
         noise_var = per_sample[..., None] / energy
     return MrcOutput(
         symbols=combined,

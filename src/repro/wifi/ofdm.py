@@ -35,15 +35,26 @@ def pilot_polarity_sequence(n: int) -> np.ndarray:
     return np.resize(seq, n)
 
 
-def assemble_symbol(data_symbols: np.ndarray, pilot_polarity: float) -> np.ndarray:
-    """Build one time-domain OFDM symbol (without CP) from 48 data points."""
+def assemble_symbol(data_symbols: np.ndarray,
+                    pilot_polarity: float | np.ndarray) -> np.ndarray:
+    """Build time-domain OFDM symbols (without CP) from 48 data points each.
+
+    ``data_symbols`` is ``(..., 48)``: leading axes are a stack of
+    symbols, transformed in one IFFT, with ``pilot_polarity`` broadcasting
+    over them (one polarity per symbol, or one for all).  Each row equals
+    its own single-symbol call bit for bit.
+    """
     data_symbols = np.asarray(data_symbols, dtype=np.complex128)
-    if data_symbols.size != len(_DATA_FFT_BINS):
-        raise ValueError(f"expected 48 data symbols, got {data_symbols.size}")
-    spec = np.zeros(FFT_SIZE, dtype=np.complex128)
-    spec[_DATA_FFT_BINS] = data_symbols
-    spec[_PILOT_FFT_BINS] = PILOT_VALUES * pilot_polarity
-    return np.fft.ifft(spec) * FFT_SIZE / np.sqrt(52.0)
+    if data_symbols.shape[-1:] != (len(_DATA_FFT_BINS),):
+        raise ValueError(
+            f"expected 48 data symbols per row, got shape "
+            f"{data_symbols.shape}")
+    spec = np.zeros(data_symbols.shape[:-1] + (FFT_SIZE,),
+                    dtype=np.complex128)
+    spec[..., _DATA_FFT_BINS] = data_symbols
+    spec[..., _PILOT_FFT_BINS] = \
+        PILOT_VALUES * np.asarray(pilot_polarity)[..., np.newaxis]
+    return np.fft.ifft(spec, axis=-1) * FFT_SIZE / np.sqrt(52.0)
 
 
 def disassemble_symbol(time_symbol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -56,8 +67,8 @@ def disassemble_symbol(time_symbol: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def add_cyclic_prefix(symbol: np.ndarray) -> np.ndarray:
-    """Prepend the last CP_LENGTH samples."""
-    return np.concatenate([symbol[-CP_LENGTH:], symbol])
+    """Prepend the last CP_LENGTH samples of each symbol (last axis)."""
+    return np.concatenate([symbol[..., -CP_LENGTH:], symbol], axis=-1)
 
 
 def remove_cyclic_prefix(symbol_with_cp: np.ndarray) -> np.ndarray:

@@ -68,27 +68,18 @@ class WifiTransmitter:
         tail_start = 16 + psdu_bits.size
         scrambled[tail_start:tail_start + 6] = 0
 
-        # --- encode, interleave, map per OFDM symbol ---
+        # --- encode, then interleave, map, IFFT and prefix the SIGNAL
+        # symbol and every DATA symbol as one (n_sym + 1, .) stack ---
         code = ConvolutionalCode(p.code_rate)
-        coded = code.encode(scrambled)
-        polarities = pilot_polarity_sequence(n_sym + 1)
-        symbols = []
+        coded = code.encode(scrambled).reshape(n_sym, p.n_cbps)
+        points = np.empty((n_sym + 1, 48), dtype=np.complex128)
+        points[0] = qam_map(encode_signal_field(rate_mbps, len(psdu)), "bpsk")
+        points[1:] = qam_map(interleave(coded, p.n_bpsc),
+                             p.modulation).reshape(n_sym, 48)
+        symbols = add_cyclic_prefix(
+            assemble_symbol(points, pilot_polarity_sequence(n_sym + 1)))
 
-        sig_bits = encode_signal_field(rate_mbps, len(psdu))
-        sig_points = qam_map(sig_bits, "bpsk")
-        symbols.append(
-            add_cyclic_prefix(assemble_symbol(sig_points, polarities[0]))
-        )
-
-        for s in range(n_sym):
-            chunk = coded[s * p.n_cbps:(s + 1) * p.n_cbps]
-            inter = interleave(chunk, p.n_bpsc)
-            points = qam_map(inter, p.modulation)
-            symbols.append(
-                add_cyclic_prefix(assemble_symbol(points, polarities[s + 1]))
-            )
-
-        samples = np.concatenate([plcp_preamble()] + symbols)
+        samples = np.concatenate([plcp_preamble(), symbols.ravel()])
         expected = 320 + (n_sym + 1) * SYMBOL_LENGTH
         assert samples.size == expected
         return TxResult(

@@ -1,0 +1,180 @@
+"""Reference exchange-synthesis kernels: verbatim copies of the originals.
+
+The transmitter in :mod:`repro.wifi.transmitter` interleaves, maps,
+IFFTs and prefixes every OFDM symbol of a PPDU as one stack, and the
+CRCs in :mod:`repro.utils.crc` run a byte at a time from a table.  This
+module keeps the original forms -- one Python iteration per OFDM symbol
+(with the single-symbol ``assemble_symbol``/``add_cyclic_prefix`` and
+``interleave`` and the sliding-window ``conv_encode`` they called), the
+ADC quantiser that rounded I and Q as separate planes of one capture,
+and one Python step per CRC input bit -- as the oracles the property
+tests hold the fast kernels to, bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.coding.convolutional import _PARITY, CONSTRAINT, puncture
+from repro.coding.interleaver import interleave_indices
+from repro.coding.scrambler import scramble
+from repro.constants import CP_LENGTH, FFT_SIZE, SYMBOL_LENGTH
+from repro.utils.bits import bits_from_bytes
+from repro.wifi.mapper import qam_map
+from repro.wifi.ofdm import (
+    _DATA_FFT_BINS,
+    _PILOT_FFT_BINS,
+    PILOT_VALUES,
+    pilot_polarity_sequence,
+)
+from repro.wifi.params import rate_params
+from repro.wifi.preamble import plcp_preamble
+from repro.wifi.signal_field import encode_signal_field
+
+
+# -- OFDM transmitter, one symbol at a time -----------------------------
+
+
+def conv_encode(bits: np.ndarray) -> np.ndarray:
+    """Rate-1/2 mother-code encoding of a bit array (zero initial state).
+
+    Output interleaves the two generator streams: ``a0 b0 a1 b1 ...``.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    n = bits.size
+    if n == 0:
+        return np.empty(0, dtype=np.uint8)
+    # Build the 7-bit register value at each step: newest bit is LSB in
+    # standard 802.11 convention x[n], x[n-1], ..., x[n-6] dotted with g.
+    padded = np.concatenate([np.zeros(CONSTRAINT - 1, dtype=np.uint8), bits])
+    # Window of 7 bits ending at each position, newest first.
+    # reg = sum_{k=0..6} x[n-k] << (6-k): newest bit is the MSB, so the
+    # octal generator masks match the 802.11 tap definition.
+    weights = 1 << np.arange(CONSTRAINT)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, CONSTRAINT)
+    reg = windows @ weights.astype(np.uint32)
+    out = np.empty(2 * n, dtype=np.uint8)
+    out[0::2] = _PARITY[0, reg]
+    out[1::2] = _PARITY[1, reg]
+    return out
+
+
+def interleave(bits: np.ndarray, n_bpsc: int) -> np.ndarray:
+    """Interleave one OFDM symbol's worth of coded bits."""
+    bits = np.asarray(bits)
+    idx = interleave_indices(bits.size, n_bpsc)
+    out = np.empty_like(bits)
+    out[idx] = bits
+    return out
+
+
+def assemble_symbol(data_symbols: np.ndarray, pilot_polarity: float) -> np.ndarray:
+    """Build one time-domain OFDM symbol (without CP) from 48 data points."""
+    data_symbols = np.asarray(data_symbols, dtype=np.complex128)
+    if data_symbols.size != len(_DATA_FFT_BINS):
+        raise ValueError(f"expected 48 data symbols, got {data_symbols.size}")
+    spec = np.zeros(FFT_SIZE, dtype=np.complex128)
+    spec[_DATA_FFT_BINS] = data_symbols
+    spec[_PILOT_FFT_BINS] = PILOT_VALUES * pilot_polarity
+    return np.fft.ifft(spec) * FFT_SIZE / np.sqrt(52.0)
+
+
+def add_cyclic_prefix(symbol: np.ndarray) -> np.ndarray:
+    """Prepend the last CP_LENGTH samples."""
+    return np.concatenate([symbol[-CP_LENGTH:], symbol])
+
+
+def transmit_samples(psdu: bytes, rate_mbps: int,
+                     scrambler_seed: int = 0x5D) -> np.ndarray:
+    """The PPDU samples of ``WifiTransmitter(scrambler_seed).transmit``."""
+    p = rate_params(rate_mbps)
+
+    # --- DATA field bits: SERVICE(16) + PSDU + tail(6) + pad ---
+    psdu_bits = bits_from_bytes(psdu)
+    n_bits = 16 + psdu_bits.size + 6
+    n_sym = -(-n_bits // p.n_dbps)
+    data = np.zeros(n_sym * p.n_dbps, dtype=np.uint8)
+    data[16:16 + psdu_bits.size] = psdu_bits
+    # Scramble everything (incl. the pad), then force the 6 tail
+    # bits back to zero, per 17.3.5.3.
+    scrambled = scramble(data, scrambler_seed)
+    tail_start = 16 + psdu_bits.size
+    scrambled[tail_start:tail_start + 6] = 0
+
+    # --- encode, interleave, map per OFDM symbol ---
+    coded = puncture(conv_encode(scrambled), p.code_rate)
+    polarities = pilot_polarity_sequence(n_sym + 1)
+    symbols = []
+
+    sig_bits = encode_signal_field(rate_mbps, len(psdu))
+    sig_points = qam_map(sig_bits, "bpsk")
+    symbols.append(
+        add_cyclic_prefix(assemble_symbol(sig_points, polarities[0]))
+    )
+
+    for s in range(n_sym):
+        chunk = coded[s * p.n_cbps:(s + 1) * p.n_cbps]
+        inter = interleave(chunk, p.n_bpsc)
+        points = qam_map(inter, p.modulation)
+        symbols.append(
+            add_cyclic_prefix(assemble_symbol(points, polarities[s + 1]))
+        )
+
+    samples = np.concatenate([plcp_preamble()] + symbols)
+    expected = 320 + (n_sym + 1) * SYMBOL_LENGTH
+    assert samples.size == expected
+    return samples
+
+
+# -- ADC, one capture at a time -----------------------------------------
+
+
+def adc_quantize(x: np.ndarray, full_scale: float, bits: int) -> np.ndarray:
+    """``Adc(bits, full_scale).quantize(x)``: I and Q clipped and rounded
+    as two separate planes."""
+    x = np.asarray(x, dtype=np.complex128)
+    levels = 1 << bits
+    step = 2.0 * full_scale / levels
+    def q(v: np.ndarray) -> np.ndarray:
+        clipped = np.clip(v, -full_scale, full_scale - step)
+        return np.round(clipped / step) * step
+    return q(x.real) + 1j * q(x.imag)
+
+
+# -- CRCs, one bit at a time --------------------------------------------
+
+
+def crc_bits(bits: np.ndarray, poly: int, width: int, init: int,
+             xor_out: int) -> int:
+    """Generic MSB-first CRC over a bit array."""
+    reg = init
+    mask = (1 << width) - 1
+    for b in np.asarray(bits, dtype=np.uint8):
+        fb = ((reg >> (width - 1)) & 1) ^ int(b)
+        reg = (reg << 1) & mask
+        if fb:
+            reg ^= poly
+    return reg ^ xor_out
+
+
+def crc8(bits: np.ndarray) -> int:
+    """CRC-8 (poly 0x07), used for the tag frame header."""
+    return crc_bits(bits, poly=0x07, width=8, init=0x00, xor_out=0x00)
+
+
+def crc16_ccitt(bits: np.ndarray) -> int:
+    """CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF), the tag payload check."""
+    return crc_bits(bits, poly=0x1021, width=16, init=0xFFFF, xor_out=0x0000)
+
+
+def crc32(data: bytes) -> int:
+    """IEEE 802.3 CRC-32 as used by the 802.11 FCS, over bytes."""
+    reg = 0xFFFFFFFF
+    for byte in data:
+        reg ^= byte
+        for _ in range(8):
+            if reg & 1:
+                reg = (reg >> 1) ^ 0xEDB88320
+            else:
+                reg >>= 1
+    return reg ^ 0xFFFFFFFF

@@ -1,4 +1,4 @@
-"""Property tests for the two paired decode kernels.
+"""Property tests for the paired decode and synthesis kernels.
 
 * The chip-comb timing solver (:class:`BatchPreambleSolver`) against the
   per-offset reference estimator over random start windows -- including
@@ -8,6 +8,11 @@
 * The butterfly Viterbi (scalar and batched) against a copy of the
   original fancy-index trellis (``viterbi_oracle.py``), bit for bit:
   decoded bits, survivor decisions and the returned path metric.
+* Exchange synthesis against copies of the original per-symbol
+  transmitter and bit-serial CRCs (``synthesis_oracle.py``), bit for
+  bit; ``complex_normal`` against the two-draw expression it replaces;
+  the two-plane SciPy AR(1) against the numpy reference recursion; the
+  stacked AGC/ADC against the original per-capture quantiser.
 """
 
 import sys
@@ -15,19 +20,32 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import synthesis_oracle
+from repro.channel.hardware import Adc
+from repro.channel.noise import complex_normal
 from repro.coding.convolutional import CONSTRAINT
 from repro.coding.viterbi import (
     _add_compare_select,
     viterbi_decode_soft,
     viterbi_decode_soft_batch,
 )
+from repro.dsp.backends import (
+    _ar1_numpy,
+    available_backends,
+    get_kernel,
+    use_backend,
+)
 from repro.reader.channel_est import estimate_combined_channel
 from repro.reader.fastpath import BatchPreambleSolver
+from repro.utils.crc import crc8, crc16_ccitt, crc32
+from repro.wifi.frames import cts_to_self
+from repro.wifi.params import SUPPORTED_RATES_MBPS
+from repro.wifi.transmitter import WifiTransmitter
 from test_reader_pipeline import _make_link
 from viterbi_oracle import viterbi_oracle
 
@@ -165,3 +183,126 @@ def test_viterbi_matches_oracle_bit_for_bit(n_batch, n_steps, terminated,
             assert _bitwise_equal(one_metric, ref_metric)
             if n_steps:
                 assert np.array_equal(decisions[:, :, b], ref_dec)
+
+
+# -- exchange synthesis ------------------------------------------------
+
+
+@settings(deadline=None, max_examples=40)
+@given(rate=st.sampled_from(SUPPORTED_RATES_MBPS),
+       n_bytes=st.integers(1, 4095), seed=st.integers(0, 2**32 - 1),
+       scrambler=st.integers(1, 127))
+def test_transmitter_matches_oracle_bit_for_bit(rate, n_bytes, seed,
+                                                scrambler):
+    psdu = np.random.default_rng(seed).integers(
+        0, 256, n_bytes, dtype=np.uint8).tobytes()
+    got = WifiTransmitter(scrambler).transmit(psdu, rate).samples
+    ref = synthesis_oracle.transmit_samples(psdu, rate, scrambler)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("rate", SUPPORTED_RATES_MBPS)
+def test_transmitter_cts_to_self_matches_oracle(rate):
+    got = WifiTransmitter().transmit(cts_to_self(), rate).samples
+    ref = synthesis_oracle.transmit_samples(cts_to_self(), rate)
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(n_bits=st.integers(0, 4200), seed=st.integers(0, 2**32 - 1))
+def test_table_crc_matches_bit_serial(n_bits, seed):
+    bits = np.random.default_rng(seed).integers(0, 2, n_bits,
+                                                dtype=np.uint8)
+    assert crc8(bits) == synthesis_oracle.crc8(bits)
+    assert crc16_ccitt(bits) == synthesis_oracle.crc16_ccitt(bits)
+    data = np.packbits(bits).tobytes()
+    assert crc32(data) == synthesis_oracle.crc32(data)
+
+
+@settings(deadline=None, max_examples=40)
+@given(shape=st.one_of(st.integers(0, 300),
+                       st.tuples(st.integers(1, 4), st.integers(0, 80))),
+       scale=st.floats(1e-12, 1e3), seed=st.integers(0, 2**32 - 1),
+       into_row=st.booleans())
+def test_complex_normal_matches_two_draw_expression(shape, scale, seed,
+                                                    into_row):
+    ref_rng = np.random.default_rng(seed)
+    ref = scale * (ref_rng.standard_normal(shape)
+                   + 1j * ref_rng.standard_normal(shape))
+    rng = np.random.default_rng(seed)
+    if into_row:
+        # Drawn into one row of a caller-owned stack.
+        stack = np.zeros((3,) + np.shape(ref), dtype=np.complex128)
+        row = stack[1]
+        got = complex_normal(shape, scale, rng, out=row)
+        assert got is row
+        assert not stack[0].any() and not stack[2].any()
+    else:
+        got = complex_normal(shape, scale, rng)
+    assert got.dtype == np.complex128 and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("out", [
+    np.zeros((4, 6), dtype=np.complex128)[:, ::2],     # not contiguous
+    np.zeros((4, 6), dtype=np.complex128)[:, :3],
+    np.zeros((4, 3), dtype=np.complex64),               # not complex128
+    np.zeros((4, 3), dtype=np.float64),
+    np.zeros((3, 4), dtype=np.complex128),              # wrong shape
+])
+def test_complex_normal_out_rejects_foreign_buffers(out):
+    with pytest.raises(ValueError):
+        complex_normal((4, 3), 1.0, np.random.default_rng(0), out=out)
+
+
+@pytest.mark.skipif("scipy" not in available_backends()["ar1"],
+                    reason="SciPy AR(1) provider not registered")
+@settings(deadline=None, max_examples=40)
+@given(batch=st.one_of(st.just(()), st.tuples(st.integers(1, 4)),
+                       st.tuples(st.integers(1, 3), st.integers(1, 3))),
+       n=st.integers(1, 200), rho=st.floats(0.0, 0.9999),
+       scalar_prev=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(batch=(1,), n=64, rho=0.99, scalar_prev=False, seed=1)
+def test_two_plane_ar1_matches_numpy_reference(batch, n, rho, scalar_prev,
+                                               seed):
+    rng = np.random.default_rng(seed)
+    shape = batch + (n,)
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    prev = complex(rng.standard_normal(), rng.standard_normal()) \
+        if scalar_prev else (rng.standard_normal(batch)
+                             + 1j * rng.standard_normal(batch))
+    with use_backend("scipy", "ar1"):
+        got = get_kernel("ar1")(w, rho, prev)
+    ref = _ar1_numpy(w, rho, prev)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(deadline=None, max_examples=30)
+@given(n_batch=st.integers(1, 5), n=st.integers(1, 300),
+       bits=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       zero_row=st.booleans())
+def test_stacked_agc_adc_matches_per_row_converter(n_batch, n, bits, seed,
+                                                   zero_row):
+    rng = np.random.default_rng(seed)
+    level = 10.0 ** rng.uniform(-4, 1, (n_batch, 1))
+    x = level * (rng.standard_normal((n_batch, n))
+                 + 1j * rng.standard_normal((n_batch, n)))
+    # Spikes above the AGC's full scale exercise clipping/saturation.
+    x[:, ::7] *= 8.0
+    if zero_row:
+        x[0] = 0.0
+    adc = Adc(bits=bits)
+    quantized, saturated = adc.agc_quantize(x)
+    for b in range(n_batch):
+        row = adc.for_signal(x[b])
+        ref = synthesis_oracle.adc_quantize(x[b], row.full_scale, bits)
+        assert quantized[b].tobytes() == ref.tobytes()
+        assert row.quantize(x[b]).tobytes() == ref.tobytes()
+        assert bool(saturated[b]) == bool(
+            np.max(np.abs(x[b].real)) > row.full_scale
+            or np.max(np.abs(x[b].imag)) > row.full_scale)
+    one, sat_one = adc.agc_quantize(x[0])
+    assert one.tobytes() == quantized[0].tobytes()
+    assert sat_one.shape == () and bool(sat_one) == bool(saturated[0])

@@ -117,6 +117,17 @@ class TestFallbacks:
         # Per-element timelines prove the scalar loop ran.
         assert fast[0].timeline is not fast[1].timeline
 
+    def test_scalar_fallback_is_counted(self):
+        from repro.telemetry import TelemetryCollector, use_collector
+
+        scenes, tags, rngs = _build(3)
+        tags[1].tag_id = 7
+        collector = TelemetryCollector()
+        with use_collector(collector):
+            run_exchange_batch(scenes, tags, BackFiReader(),
+                               psdu=PSDU, rngs=rngs, batched=True)
+        assert collector.counters.get("link.batch_scalar_fallback") == 1
+
     def test_addressed_tag_id_keeps_batch_shareable(self):
         scenes, tags, rngs = _build(3)
         for i, t in enumerate(tags):

@@ -186,6 +186,32 @@ class TestMrc:
         ratio = inferred.noise_var / exact.noise_var
         assert np.all(ratio > 0.5) and np.all(ratio < 2.0)
 
+    def test_batched_floors_match_scalar_rows(self, rng):
+        # The stacked combine uses each row's measured floor and infers
+        # the variance from residuals only for rows without one (zero
+        # or NaN), exactly as the scalar path does row by row.
+        from repro.reader.mrc import _mrc_combine
+
+        tl, x, y, h_fb, config, *_ , data_start = _make_link(rng)
+        template = expected_template(x, h_fb, x.size)
+        ys = np.stack([y, 0.5 * y, 2.0 * y])
+        sps = config.samples_per_symbol
+        for floors in ([1e-6, 2e-6, 3e-6], [1e-6, 0.0, np.nan],
+                       [np.nan, 1e-6, 2e-6]):
+            out = _mrc_combine(ys, template, data_start, sps, 30, guard=4,
+                               noise_floor=np.array(floors))
+            for b, floor in enumerate(floors):
+                one = _mrc_combine(ys[b], template, data_start, sps, 30,
+                                   guard=4, noise_floor=floor)
+                assert np.array_equal(out.symbols[b], one.symbols)
+                assert np.array_equal(out.template_energy[b],
+                                      one.template_energy)
+                if floor > 0:
+                    assert np.array_equal(out.noise_var[b], one.noise_var)
+                else:
+                    np.testing.assert_allclose(out.noise_var[b],
+                                               one.noise_var, rtol=1e-12)
+
     def test_mean_snr_never_inf(self):
         # Regression: all-zero noise_var used to yield +inf, which
         # poisoned rate adaptation and experiment tables downstream.

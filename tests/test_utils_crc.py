@@ -21,14 +21,9 @@ class TestCrc32:
 
 class TestCrc16:
     def test_known_check_value(self):
-        # CRC-16/CCITT-FALSE("123456789") = 0x29B1.
-        bits = bits_from_bytes(b"123456789")
-        # Our implementation is bit-oriented LSB-first over the stream;
-        # verify determinism and non-triviality instead of the byte-MSB
-        # reference, then pin the value as a regression check.
-        v = C.crc16_ccitt(bits)
-        assert 0 <= v <= 0xFFFF
-        assert v == C.crc16_ccitt(bits)
+        # The catalogue check value over "123456789", bits MSB-first.
+        bits = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
+        assert C.crc16_ccitt(bits) == 0x29B1   # CRC-16/CCITT-FALSE
 
     def test_differs_on_single_bit_flip(self):
         rng = np.random.default_rng(2)
@@ -38,6 +33,19 @@ class TestCrc16:
             mod = bits.copy()
             mod[i] ^= 1
             assert C.crc16_ccitt(mod) != base
+
+
+class TestCrc8:
+    def test_known_check_value(self):
+        bits = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
+        assert C.crc8(bits) == 0xF4            # CRC-8/SMBUS (poly 0x07)
+
+    def test_partial_byte_tail(self):
+        # A length that is not a whole number of bytes runs the
+        # bit-serial tail: 3 bits 101 shift in as for the byte 0b101.
+        bits = np.array([1, 0, 1], dtype=np.uint8)
+        padded = np.concatenate([np.zeros(5, dtype=np.uint8), bits])
+        assert C.crc8(bits) == C.crc8(padded)
 
 
 class TestFraming:
