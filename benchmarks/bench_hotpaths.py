@@ -2,10 +2,12 @@
 
 Times each tracked hot kernel in both its fast form and its direct
 reference form on realistic operand sizes (the default 20 Msps packet),
-reporting median wall time and the fast/direct speedup.  The speedup
-ratio -- both forms measured back-to-back on the same machine -- is the
-number the CI perf gate tracks, because absolute milliseconds are not
-comparable across runners.
+reporting median wall time and the fast/direct speedup.  The direct
+forms of the DSP kernels are the test oracles in
+``tests/dsp_oracle.py``.  The speedup ratio -- both forms measured
+back-to-back on the same machine -- is the number the CI perf gate
+tracks, because absolute milliseconds are not comparable across
+runners.
 
 Usage::
 
@@ -27,21 +29,29 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from dsp_oracle import (
+    correlate_valid_direct,
+    estimate_combined_channel_svd,
+    find_tag_timing_direct,
+    normalized_cross_correlation_direct,
+    sequence_direct,
+)
 from repro.channel import Scene
 from repro.channel.multipath import apply_channel
 from repro.channel.noise import awgn
-from repro.coding.scrambler import _sequence_direct, scrambler_sequence
+from repro.coding.scrambler import scrambler_sequence
 from repro.dsp.correlation import (
     normalized_cross_correlation,
     sliding_correlation,
 )
-from repro.dsp.backends import active_backend, active_backends
-from repro.dsp.fastpath import set_fastpath_enabled
+from repro.dsp.fastpath import fast_convolve
 from repro.link.protocol import build_ap_transmission
 from repro.reader.batch import BatchedDecoder
-from repro.reader.cancellation import DigitalCanceller
+from repro.reader.cancellation import DigitalCanceller, ls_channel_estimate
 from repro.reader.reader import BackFiReader
 from repro.reader.sync import find_tag_timing
 from repro.tag import BackFiTag, tag_preamble_phases
@@ -61,15 +71,10 @@ def _median_ms(fn, repeats: int) -> float:
     return float(np.median(times)) * 1e3
 
 
-def _fast_vs_direct(fn, repeats: int) -> dict[str, float]:
-    """Time ``fn`` with the fast path globally on, then off."""
-    prev = set_fastpath_enabled(True)
-    try:
-        fast_ms = _median_ms(fn, repeats)
-        set_fastpath_enabled(False)
-        direct_ms = _median_ms(fn, repeats)
-    finally:
-        set_fastpath_enabled(prev)
+def _fast_vs_direct(fast, direct, repeats: int) -> dict[str, float]:
+    """Time the ``fast`` form, then the ``direct`` one."""
+    fast_ms = _median_ms(fast, repeats)
+    direct_ms = _median_ms(direct, repeats)
     return {
         "fast_ms": round(fast_ms, 4),
         "direct_ms": round(direct_ms, 4),
@@ -97,11 +102,12 @@ def bench_fine_timing_search(repeats: int) -> dict[str, float]:
     """Full fine-timing search: batched solver vs per-offset SVD."""
     rng = np.random.default_rng(3)
     tl, x, y = _make_frame(rng)
-
-    def run():
-        find_tag_timing(x, y, tl.nominal_preamble_start, 32.0)
-
-    return _fast_vs_direct(run, repeats)
+    nominal = tl.nominal_preamble_start
+    return _fast_vs_direct(
+        lambda: find_tag_timing(x, y, nominal, 32.0),
+        lambda: find_tag_timing_direct(
+            x, y, nominal, 32.0, estimator=estimate_combined_channel_svd),
+        repeats)
 
 
 def _make_cancel_problem():
@@ -126,11 +132,11 @@ def bench_digital_cancellation(repeats: int) -> dict[str, float]:
     """
     x, residual, silent = _make_cancel_problem()
     canceller = DigitalCanceller()
-
-    def run():
-        canceller.estimate(x, residual, silent)
-
-    return _fast_vs_direct(run, repeats)
+    return _fast_vs_direct(
+        lambda: canceller.estimate(x, residual, silent),
+        lambda: ls_channel_estimate(x, residual, canceller.n_taps,
+                                    rows=silent, method="lstsq"),
+        repeats)
 
 
 def bench_digital_cancel_full(repeats: int) -> dict[str, float]:
@@ -138,10 +144,13 @@ def bench_digital_cancel_full(repeats: int) -> dict[str, float]:
     x, residual, silent = _make_cancel_problem()
     canceller = DigitalCanceller()
 
-    def run():
-        canceller.cancel(x, residual, silent)
+    def direct():
+        h = ls_channel_estimate(x, residual, canceller.n_taps, rows=silent,
+                                method="lstsq")
+        return residual - fast_convolve(x, h)[: residual.size], h
 
-    return _fast_vs_direct(run, repeats)
+    return _fast_vs_direct(
+        lambda: canceller.cancel(x, residual, silent), direct, repeats)
 
 
 def bench_sliding_correlation(repeats: int) -> dict[str, float]:
@@ -149,11 +158,8 @@ def bench_sliding_correlation(repeats: int) -> dict[str, float]:
     rng = np.random.default_rng(11)
     x = rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16)
     t = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-
-    def run():
-        sliding_correlation(x, t)
-
-    return _fast_vs_direct(run, repeats)
+    return _fast_vs_direct(lambda: sliding_correlation(x, t),
+                           lambda: correlate_valid_direct(x, t), repeats)
 
 
 def bench_normalized_cross_correlation(repeats: int) -> dict[str, float]:
@@ -161,31 +167,23 @@ def bench_normalized_cross_correlation(repeats: int) -> dict[str, float]:
     rng = np.random.default_rng(13)
     x = rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16)
     t = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-
-    def run():
-        normalized_cross_correlation(x, t)
-
-    return _fast_vs_direct(run, repeats)
+    return _fast_vs_direct(
+        lambda: normalized_cross_correlation(x, t),
+        lambda: normalized_cross_correlation_direct(x, t), repeats)
 
 
 def bench_scrambler_sequence(repeats: int) -> dict[str, float]:
     """127-periodic table lookup vs the stepwise LFSR loop."""
     n = 4096
-
-    fast_ms = _median_ms(lambda: scrambler_sequence(n), repeats)
-    direct_ms = _median_ms(lambda: _sequence_direct(n, 0x7F), repeats)
-    return {
-        "fast_ms": round(fast_ms, 4),
-        "direct_ms": round(direct_ms, 4),
-        "speedup": round(direct_ms / max(fast_ms, 1e-9), 3),
-    }
+    return _fast_vs_direct(lambda: scrambler_sequence(n),
+                           lambda: sequence_direct(n, 0x7F), repeats)
 
 
 def bench_batched_decode(repeats: int) -> dict[str, float]:
     """100-exchange decode: one stacked batch vs the per-exchange loop.
 
-    Both forms run with the DSP fast paths enabled -- the ratio
-    measures batching alone (shared Gram factorisations, one batched
+    Both forms run the same DSP kernels -- the ratio measures batching
+    alone (shared Gram factorisations, one batched
     Viterbi sweep) on the multi-tag simulator's calibration workload.
     Seconds-scale per run, so the repeat count is capped.
     """
@@ -216,23 +214,11 @@ def bench_batched_decode(repeats: int) -> dict[str, float]:
     def rngs():
         return [np.random.default_rng(5000 + b) for b in range(n_batch)]
 
-    repeats = min(repeats, 5)
-    prev = set_fastpath_enabled(True)
-    try:
-        fast_ms = _median_ms(
-            lambda: decoder.decode_batch(tl, rx, h_envs, rngs=rngs()),
-            repeats)
-        direct_ms = _median_ms(
-            lambda: [reader.decode(tl, rx[b], h_envs[b], rng=r)
-                     for b, r in enumerate(rngs())],
-            repeats)
-    finally:
-        set_fastpath_enabled(prev)
-    return {
-        "fast_ms": round(fast_ms, 4),
-        "direct_ms": round(direct_ms, 4),
-        "speedup": round(direct_ms / max(fast_ms, 1e-9), 3),
-    }
+    return _fast_vs_direct(
+        lambda: decoder.decode_batch(tl, rx, h_envs, rngs=rngs()),
+        lambda: [reader.decode(tl, rx[b], h_envs[b], rng=r)
+                 for b, r in enumerate(rngs())],
+        min(repeats, 5))
 
 
 def _sweep_cell_trial(args) -> tuple[bool, float]:
@@ -283,7 +269,6 @@ def bench_batched_sweep_cell(repeats: int) -> dict[str, float]:
                                   psdu=psdu, rngs=rngs)
 
     repeats = min(repeats, 5)
-    prev = set_fastpath_enabled(True)
     engine = ExperimentEngine(jobs=2, cache=False)
     try:
         fast_cell()  # warm caches/deferred imports, matching the pool warm-up
@@ -294,7 +279,6 @@ def bench_batched_sweep_cell(repeats: int) -> dict[str, float]:
                 lambda: parallel_map(_sweep_cell_trial, tasks), repeats)
     finally:
         engine.close()
-        set_fastpath_enabled(prev)
     return {
         "fast_ms": round(fast_ms, 4),
         "direct_ms": round(direct_ms, 4),
@@ -331,17 +315,8 @@ def bench_streaming_warm_session(repeats: int) -> dict[str, float]:
                  for s in range(0, cap.n_samples, chunk)],
                 pa_output=cap.x_pa, rng=rng)
 
-    prev = set_fastpath_enabled(True)
-    try:
-        fast_ms = _median_ms(lambda: run_session(True), repeats)
-        direct_ms = _median_ms(lambda: run_session(False), repeats)
-    finally:
-        set_fastpath_enabled(prev)
-    return {
-        "fast_ms": round(fast_ms, 4),
-        "direct_ms": round(direct_ms, 4),
-        "speedup": round(direct_ms / max(fast_ms, 1e-9), 3),
-    }
+    return _fast_vs_direct(lambda: run_session(True),
+                           lambda: run_session(False), repeats)
 
 
 def bench_streaming_mux(repeats: int) -> dict[str, float]:
@@ -392,7 +367,6 @@ def bench_streaming_mux(repeats: int) -> dict[str, float]:
         await asyncio.gather(*[one_exchange(sid) for sid in sids])
 
     repeats = min(repeats, 5)
-    prev = set_fastpath_enabled(True)
     try:
         sids = loop.run_until_complete(setup())
         fast_ms = _median_ms(
@@ -407,7 +381,6 @@ def bench_streaming_mux(repeats: int) -> dict[str, float]:
     finally:
         loop.run_until_complete(mux.aclose())
         loop.close()
-        set_fastpath_enabled(prev)
     return {
         "fast_ms": round(fast_ms, 4),
         "direct_ms": round(direct_ms, 4),
@@ -429,35 +402,11 @@ KERNELS = {
     "streaming_mux": bench_streaming_mux,
 }
 
-KERNEL_SLOTS = {
-    # Which pluggable backend slots each kernel's fast form exercises,
-    # so the report can attribute a measurement to the provider that
-    # actually ran (numpy reference vs scipy vs a registered extra).
-    "fine_timing_search": ("fft", "solve"),
-    "digital_cancellation": ("solve",),
-    "digital_cancel_full": ("solve", "fft"),
-    "sliding_correlation": ("fft",),
-    "normalized_cross_correlation": ("fft",),
-    "scrambler_sequence": (),
-    "batched_decode": ("fft", "solve"),
-    "batched_sweep_cell": ("fft", "solve", "ar1"),
-    "streaming_warm_session": ("fft", "solve", "ar1"),
-    "streaming_mux": ("fft", "solve", "ar1"),
-}
-
-
 def run_suite(kernels: list[str], repeats: int) -> dict:
     """Run the selected kernels; returns the bench JSON document."""
-    results = {}
-    for name in kernels:
-        results[name] = KERNELS[name](repeats)
-        slots = KERNEL_SLOTS.get(name, ())
-        if slots:
-            results[name]["backends"] = {
-                slot: active_backend(slot) for slot in slots}
+    results = {name: KERNELS[name](repeats) for name in kernels}
     return {"schema": SCHEMA, "kind": "bench_hotpaths",
-            "repeats": repeats, "backends": active_backends(),
-            "kernels": results}
+            "repeats": repeats, "kernels": results}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -477,16 +426,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown kernels: {', '.join(unknown)}")
 
     doc = run_suite(names, args.repeats)
-    summary = " ".join(f"{k}={v}" for k, v in doc["backends"].items())
-    print(f"kernel backends: {summary}")
     width = max(len(n) for n in names)
     print(f"{'kernel'.ljust(width)}  {'fast ms':>9}  {'direct ms':>9}  "
           f"{'speedup':>7}")
     for name in names:
         r = doc["kernels"][name]
-        used = ",".join(r["backends"].values()) if "backends" in r else "-"
         print(f"{name.ljust(width)}  {r['fast_ms']:9.3f}  "
-              f"{r['direct_ms']:9.3f}  {r['speedup']:6.2f}x  [{used}]")
+              f"{r['direct_ms']:9.3f}  {r['speedup']:6.2f}x")
     if args.json:
         Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
         print(f"\nwrote {args.json}")

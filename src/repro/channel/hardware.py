@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
 from ..constants import ADC_BITS, CIRCULATOR_ISOLATION_DB
 from ..utils.conversions import db_to_linear, power
@@ -23,6 +24,7 @@ __all__ = [
     "PaNonlinearity",
     "Adc",
     "ar1_drift_params",
+    "ar1_filter",
     "circulator_leakage_gain",
     "coherence_impairment",
     "draw_ar1_innovations",
@@ -164,6 +166,34 @@ def ar1_drift_params(rms: float,
     return rho, innov_scale
 
 
+def ar1_filter(w: np.ndarray, rho: float, prev) -> np.ndarray:
+    """The AR(1) recursion ``y[i] = w[i] + rho * y[i-1]``, ``y[-1] = prev``.
+
+    Stacked innovations ``(..., n)`` recurse along the last axis with one
+    initial state per row (``prev`` broadcasting over the batch axes), so
+    the batched session synthesizer runs every element's drift process
+    in one call, each row bit-identical to its own scalar call.
+    """
+    w = np.asarray(w)
+    rho = float(rho)
+    zi = np.broadcast_to(
+        np.asarray(rho * np.asarray(prev), dtype=np.result_type(w, prev)),
+        w.shape[:-1],
+    )[..., np.newaxis]
+    if w.dtype != np.complex128:
+        y, _ = lfilter([1.0], [1.0, -rho], w, zi=zi.copy())
+        return y
+    # A real rho never mixes real and imaginary parts, so filter the two
+    # float64 planes of the innovations' own buffer (the last axis of its
+    # (..., n, 2) view): per sample the same add and multiply as the
+    # complex recursion, bit for bit, without its complex arithmetic.
+    w = np.ascontiguousarray(w)
+    planes = w.view(np.float64).reshape(w.shape + (2,))
+    zi_planes = np.stack([zi.real, zi.imag], axis=-1)
+    y, _ = lfilter([1.0], [1.0, -rho], planes, axis=-2, zi=zi_planes)
+    return np.ascontiguousarray(y).view(np.complex128).reshape(w.shape)
+
+
 def draw_ar1_innovations(
     n: int, rms: float, innov_scale: float, rng: np.random.Generator, *,
     out: np.ndarray | None = None,
@@ -202,13 +232,7 @@ def coherence_impairment(n: int, rms: float, coherence_samples: float,
         return np.ones(n, dtype=np.complex128)
     rho, innov_scale = ar1_drift_params(rms, coherence_samples)
     w, prev = draw_ar1_innovations(n, rms, innov_scale, rng)
-    # AR(1) recursion through the pluggable backend registry: SciPy's
-    # lfilter when available, the bit-identical numpy reference loop on
-    # numpy-only installs, a JIT'd loop when numba is around.
-    from ..dsp.backends import get_kernel
-
-    delta = get_kernel("ar1")(w, rho, prev)
-    return 1.0 + delta
+    return 1.0 + ar1_filter(w, rho, prev)
 
 
 def iq_imbalance(x: np.ndarray, gain_db: float = 0.0,

@@ -120,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--seed", type=int, default=None)
     prof.add_argument("--top", type=int, default=15,
                       help="rows of the cProfile table to print")
-    prof.add_argument("--no-fastpath", action="store_true",
-                      help="profile with the DSP fast paths disabled")
 
     scen = sub.add_parser("scenarios",
                           help="list/inspect scenario presets")
@@ -326,7 +324,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import io
     import pstats
 
-    from .dsp.fastpath import set_fastpath_enabled
     from .telemetry import TelemetryCollector, load_run
     from .telemetry.trace import stage_timing_table
 
@@ -338,30 +335,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     rng = np.random.default_rng(sc.seed)
     built = sc.build(rng=rng)
-    previous = set_fastpath_enabled(not args.no_fastpath)
     profiler = cProfile.Profile()
-    try:
-        with TelemetryCollector(
-                label=f"repro profile (seed {sc.seed})") as collector:
-            profiler.enable()
-            out = built.run(rng=rng)
-            profiler.disable()
-    finally:
-        set_fastpath_enabled(previous)
+    with TelemetryCollector(
+            label=f"repro profile (seed {sc.seed})") as collector:
+        profiler.enable()
+        out = built.run(rng=rng)
+        profiler.disable()
 
-    from contextlib import nullcontext
-
-    from .dsp.backends import backend_summary, use_backend
-
-    # Report the resolution the profiled run actually saw (a scenario
-    # backend pin applies inside BuiltScenario.run's context).
-    with use_backend(sc.backend) if sc.backend is not None \
-            else nullcontext():
-        summary = backend_summary()
-    fastpath = "off" if args.no_fastpath else "on"
-    print(f"profiled one exchange (fast path {fastpath}, "
-          f"decoded: {out.ok})")
-    print(f"kernel backends: {summary}\n")
+    print(f"profiled one exchange (decoded: {out.ok})\n")
     print("pipeline stages (telemetry):")
     print(stage_timing_table(load_run(collector.path)))
     print(f"\ntop {args.top} functions by cumulative time (cProfile):")

@@ -5,9 +5,7 @@ non-zero states in one cycle regardless of the seed -- the seed only
 selects the starting phase.  One pass over that cycle at import time
 replaces the per-bit Python loop with a table lookup: the sequence for
 any ``(n, seed)`` is a wrapped slice of the canonical 127-bit period.
-The original stepwise LFSR survives as :func:`_sequence_direct`, the
-reference that ``tests/test_fastpath.py`` and the perf benchmarks
-compare against.
+The original stepwise LFSR is the test oracle in ``tests/dsp_oracle.py``.
 """
 
 from __future__ import annotations
@@ -17,17 +15,6 @@ import numpy as np
 __all__ = ["scramble", "descramble", "scrambler_sequence"]
 
 _PERIOD = 127
-
-
-def _sequence_direct(n: int, seed: int) -> np.ndarray:
-    """Stepwise LFSR reference (one Python iteration per output bit)."""
-    state = seed
-    out = np.empty(n, dtype=np.uint8)
-    for i in range(n):
-        bit = ((state >> 6) ^ (state >> 3)) & 1
-        state = ((state << 1) | bit) & 0x7F
-        out[i] = bit
-    return out
 
 
 def _build_tables() -> tuple[np.ndarray, np.ndarray]:

@@ -1,27 +1,12 @@
 """Generic DSP building blocks used by the PHYs and the reader."""
 
-from .backends import (
-    active_backend,
-    active_backends,
-    available_backends,
-    backend_summary,
-    get_kernel,
-    register_backend,
-    set_backend,
-    use_backend,
-)
 from .correlation import (
     find_correlation_peak,
     normalized_cross_correlation,
     schmidl_cox_metric,
     sliding_correlation,
 )
-from .fastpath import (
-    fast_convolve,
-    fast_correlate_valid,
-    fastpath_enabled,
-    set_fastpath_enabled,
-)
+from .fastpath import fast_convolve, fast_correlate_valid
 from .filters import (
     design_lowpass,
     fir_filter,
@@ -39,22 +24,12 @@ from .resample import decimate, hold_expand, upsample_interp
 from .spectrum import ascii_spectrum, band_power_mw, psd_db, welch_psd
 
 __all__ = [
-    "active_backend",
-    "active_backends",
-    "available_backends",
-    "backend_summary",
-    "get_kernel",
-    "register_backend",
-    "set_backend",
-    "use_backend",
     "find_correlation_peak",
     "normalized_cross_correlation",
     "schmidl_cox_metric",
     "sliding_correlation",
     "fast_convolve",
     "fast_correlate_valid",
-    "fastpath_enabled",
-    "set_fastpath_enabled",
     "design_lowpass",
     "fir_filter",
     "fractional_delay_filter",

@@ -10,42 +10,29 @@ fast direct C loop and long ones switch to O(N log N).
 
 Both kernels accept **stacked batches**: inputs of shape ``(..., n)``
 with broadcast-compatible leading axes run the whole batch through one
-overlap-save pass (FFTs along the last axis), which is how the batched
-decoder and the vectorized sweep cells amortise per-call overhead.
+overlap-save pass (``scipy.fft`` along the last axis), which is how the
+batched decoder and the vectorized sweep cells amortise per-call
+overhead.
 Ragged batches (rows of unequal length) are rejected with a
 ``ValueError`` — stack equal-length rows or fall back to per-row calls.
-
-The FFT itself is resolved through the pluggable backend registry
-(:mod:`repro.dsp.backends`, kernel slot ``"fft"``): ``scipy.fft`` when
-SciPy is installed, ``np.fft`` as the always-available reference, and a
-``register_backend`` seam for CuPy/pyFFTW.
 
 Every fast kernel agrees with its direct counterpart to float64
 rounding (``max |fast - direct| <= 1e-10 * max |direct|``); the
 equivalence suite in ``tests/test_fastpath.py`` enforces this across
-the crossover boundary, for every registered backend, and along batch
-axes.
-
-The global switch :func:`fastpath_enabled` (env ``REPRO_FASTPATH=0`` to
-disable) lets benchmarks and debugging sessions force the direct forms
-everywhere without touching call sites.
+the crossover boundary and along batch axes, against the direct forms
+kept in ``tests/dsp_oracle.py``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from .backends import get_kernel
+import scipy.fft
 
 __all__ = [
     "FFT_MIN_TAPS",
     "FFT_MIN_WORK",
     "fast_convolve",
     "fast_correlate_valid",
-    "fastpath_enabled",
-    "set_fastpath_enabled",
     "stacked_convolve",
     "use_fft",
 ]
@@ -62,22 +49,6 @@ FFT_MIN_WORK = 1 << 18
 """Minimum direct-form work (``len(x) * len(h)``) before the FFT path
 pays for its setup."""
 
-_ENABLED = os.environ.get("REPRO_FASTPATH", "1") != "0"
-
-
-def fastpath_enabled() -> bool:
-    """Whether fast kernels are globally enabled (default: yes)."""
-    return _ENABLED
-
-
-def set_fastpath_enabled(enabled: bool) -> bool:
-    """Flip the global fast-path switch; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
 def use_fft(n: int, m: int) -> bool:
     """Crossover predicate: should an (n x m) kernel take the FFT path?
 
@@ -87,8 +58,6 @@ def use_fft(n: int, m: int) -> bool:
     The decision is per batch *row*; a stacked call simply runs the same
     branch for every row.
     """
-    if not _ENABLED:
-        return False
     return m >= FFT_MIN_TAPS and n * m >= FFT_MIN_WORK
 
 
@@ -124,10 +93,10 @@ def _overlap_save(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Full linear convolution of ``x`` and ``h`` by overlap-save FFT.
 
     ``h`` must be the shorter operand (along the last axis).  Leading
-    axes broadcast; FFTs run along the last axis through the selected
-    ``"fft"`` backend.  Block length is a power of two, at least
-    ``8 * len(h)`` (so >= 7/8 of each FFT produces output) but never
-    larger than one FFT covering the whole result.
+    axes broadcast; FFTs run along the last axis.  Block length is a
+    power of two, at least ``8 * len(h)`` (so >= 7/8 of each FFT
+    produces output) but never larger than one FFT covering the whole
+    result.
     """
     x = np.asarray(x, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
@@ -137,8 +106,7 @@ def _overlap_save(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     block = min(_pow2_at_least(out_len),
                 max(_pow2_at_least(8 * m), 1024))
     hop = block - m + 1
-    fft_mod = get_kernel("fft")
-    h_f = fft_mod.fft(h, block, axis=-1)
+    h_f = scipy.fft.fft(h, block, axis=-1)
     # Prefix of m-1 zeros implements the "save" overlap; the suffix pad
     # lets the last block read a full window.
     padded = np.concatenate([
@@ -149,7 +117,7 @@ def _overlap_save(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     out = np.empty(batch + (out_len + hop,), dtype=np.complex128)
     for pos in range(0, out_len, hop):
         seg = padded[..., pos:pos + block]
-        y = fft_mod.ifft(fft_mod.fft(seg, axis=-1) * h_f, axis=-1)
+        y = scipy.fft.ifft(scipy.fft.fft(seg, axis=-1) * h_f, axis=-1)
         out[..., pos:pos + hop] = y[..., m - 1:]
     return out[..., :out_len]
 
@@ -220,8 +188,8 @@ def stacked_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     :func:`fast_convolve`'s direct batched form stays the bit-exact
     reference.
 
-    Scalar inputs, empty operands, operands past the FFT crossover and
-    the disabled fast path all delegate to :func:`fast_convolve`.
+    Scalar inputs, empty operands and operands past the FFT crossover
+    delegate to :func:`fast_convolve`.
     """
     x = _as_complex_batch(x, "x")
     h = _as_complex_batch(h, "h")
@@ -233,7 +201,7 @@ def stacked_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     if n < m:
         x, h = h, x
         n, m = m, n
-    if not fastpath_enabled() or use_fft(n, m):
+    if use_fft(n, m):
         return fast_convolve(x, h)
     batch = _batch_shape(x, h)
     out_len = n + m - 1

@@ -45,13 +45,11 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 __all__ = [
-    "BATCH_CELLS_ENV",
     "CACHE_DIR_ENV",
     "DEFAULT_CACHE_DIR",
     "ExperimentEngine",
     "JobRecord",
     "TrialFailure",
-    "batch_cells_enabled",
     "cache_key",
     "cell_map",
     "code_fingerprint",
@@ -65,7 +63,6 @@ __all__ = [
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro_cache"
-BATCH_CELLS_ENV = "REPRO_BATCH_CELLS"
 
 _CACHE_FORMAT = 1
 """Bump to invalidate every cached result on disk."""
@@ -450,17 +447,6 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any], *,
     return results
 
 
-def batch_cells_enabled() -> bool:
-    """Whether :func:`cell_map` runs its batched primaries.
-
-    ``REPRO_BATCH_CELLS=0`` is the kill-switch: every cell with a
-    registered fallback routes straight through it (the per-trial,
-    crash-isolated path), bypassing the vectorized cell functions
-    entirely.  Cells without a fallback are unaffected.
-    """
-    return os.environ.get(BATCH_CELLS_ENV, "1") != "0"
-
-
 def cell_map(fn, cells: Sequence[Any], *,
              jobs: int | None = None,
              fallback: Callable[[Any], Any] | None = None) -> list[Any]:
@@ -476,35 +462,31 @@ def cell_map(fn, cells: Sequence[Any], *,
     ``fallback`` restores per-trial crash isolation: a cell whose
     batched evaluation raises is re-run inline through
     ``fallback(cell)``, which is expected to loop the cell's trials
-    individually and substitute per-trial failure sentinels.  With
-    ``REPRO_BATCH_CELLS=0`` every cell takes the fallback directly
-    (the batched code never runs), giving sweeps an escape hatch that
-    cannot change their aggregate shape.  A fallback that itself
-    raises records a :class:`TrialFailure` and yields ``None`` for
-    that cell, exactly like :func:`parallel_map`.
+    individually and substitute per-trial failure sentinels.  Each
+    re-run counts ``engine.cell_fallback`` on the telemetry collector,
+    so a broken batched path shows up as a count, not only as a slower
+    run.  A fallback that itself raises records a
+    :class:`TrialFailure` and yields ``None`` for that cell, exactly
+    like :func:`parallel_map`.
     """
+    from ..telemetry import get_collector
+
     cells = list(cells)
     engine = get_engine()
-    if fallback is not None and not batch_cells_enabled():
-        outs = [_guarded_call((fallback, i, cell))
-                for i, cell in enumerate(cells)]
+    n = resolve_jobs(jobs)
+    tasks = [(fn, i, cell) for i, cell in enumerate(cells)]
+    if n <= 1 or len(cells) <= 1:
+        outs = [_guarded_call(t) for t in tasks]
+    elif jobs is None or n == engine.jobs:
+        outs = engine.map(_guarded_call, tasks)
     else:
-        n = resolve_jobs(jobs)
-        tasks = [(fn, i, cell) for i, cell in enumerate(cells)]
-        if n <= 1 or len(cells) <= 1:
-            outs = [_guarded_call(t) for t in tasks]
-        elif jobs is None or n == engine.jobs:
-            outs = engine.map(_guarded_call, tasks)
-        else:
-            with ProcessPoolExecutor(
-                    max_workers=min(n, len(cells))) as pool:
-                outs = list(pool.map(_guarded_call, tasks))
-        if fallback is not None:
-            outs = [
-                out if out[2] is None
-                else _guarded_call((fallback, out[0], cells[out[0]]))
-                for out in outs
-            ]
+        with ProcessPoolExecutor(max_workers=min(n, len(cells))) as pool:
+            outs = list(pool.map(_guarded_call, tasks))
+    if fallback is not None:
+        for k, (index, _, failure) in enumerate(outs):
+            if failure is not None:
+                get_collector().count("engine.cell_fallback")
+                outs[k] = _guarded_call((fallback, index, cells[index]))
     results: list[Any] = [None] * len(cells)
     failures: list[TrialFailure] = []
     for index, value, failure in outs:

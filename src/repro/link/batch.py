@@ -37,9 +37,8 @@ Options the batch cannot share -- non-WiFi excitation, interfering
 tags, fault plans, tag mobility, the real wake-up detector, client
 decode, or elements that disagree on the transmission parameters
 (tag id, preamble length, TX power) -- transparently fall back to the
-scalar loop, as does ``REPRO_FASTPATH=0``.  A batch that falls back for
-disagreeing elements counts ``link.batch_scalar_fallback`` on the
-telemetry collector.
+scalar loop.  A batch that falls back for disagreeing elements counts
+``link.batch_scalar_fallback`` on the telemetry collector.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ from ..channel.environment import Scene
 from ..channel.hardware import (
     PaNonlinearity,
     ar1_drift_params,
+    ar1_filter,
     coherence_impairment,
     draw_ar1_innovations,
 )
@@ -62,7 +62,7 @@ from ..constants import (
     SAMPLES_PER_US,
     TAG_PREAMBLE_US,
 )
-from ..dsp.fastpath import fastpath_enabled, stacked_convolve
+from ..dsp.fastpath import stacked_convolve
 from ..tag.tag import BackFiTag
 from ..telemetry import get_collector
 from .protocol import build_ap_transmission
@@ -101,7 +101,6 @@ def run_exchange_batch(
     backscatter_evm: float = BACKSCATTER_EVM_RMS,
     addressed_tag_id: int | None = None,
     include_cts: bool = True,
-    batched: bool | None = None,
 ) -> list[SessionResult]:
     """Run one exchange per (scene, tag, rng) triple off a shared PSDU.
 
@@ -115,12 +114,6 @@ def run_exchange_batch(
     rngs:
         One independent generator per element; each element's draws
         land on its own generator in the scalar session's order.
-    batched:
-        ``None`` follows the global fast-path switch
-        (:func:`~repro.dsp.fastpath.fastpath_enabled`); ``False``
-        forces the scalar per-element loop (the reference the
-        equivalence suite compares against); ``True`` forces the
-        batched path.
     """
     n = len(scenes)
     if len(tags) != n or len(rngs) != n:
@@ -146,11 +139,6 @@ def run_exchange_batch(
             )
             for b in range(n)
         ]
-
-    if batched is None:
-        batched = fastpath_enabled()
-    if not batched:
-        return _scalar_loop()
 
     # The timeline is shared only when every element would build the
     # same one; anything element-specific drops to the scalar loop.
@@ -218,8 +206,6 @@ def run_exchange_batch(
         # the accumulation as stacked calls.  Each row's recursion and
         # multiply are elementwise-identical to its scalar counterpart,
         # so bits are preserved.
-        from ..dsp.backends import get_kernel
-
         (env_rms, env_coh_us), = env_keys
         evm_on = backscatter_evm > 0
         if env_rms > 0:
@@ -248,12 +234,11 @@ def run_exchange_batch(
         # ``si * (1.0 + g)`` in place as ``t *= si`` only when the
         # temporary ``t`` is large enough to elide, so an explicit
         # operand order would change last bits at some stack sizes.
-        ar1 = get_kernel("ar1")
         if env_rms > 0:
-            si = si * (1.0 + ar1(w_env, rho_env, prev_env))
+            si = si * (1.0 + ar1_filter(w_env, rho_env, prev_env))
         if evm_on:
             backscatter = backscatter * (
-                1.0 + ar1(w_evm, rho_evm, prev_evm))
+                1.0 + ar1_filter(w_evm, rho_evm, prev_evm))
         # si + backscatter + zero + noise, summed in place; into si's
         # buffer when the drift gain gave it a contiguous one of its own.
         y = np.add(si, backscatter, out=si if env_rms > 0 else None)

@@ -19,9 +19,10 @@ stack of exchanges:
 * the fine-timing sweep scores the full candidate grid for every
   element through :class:`~repro.reader.fastpath.BatchPreambleSolver`
   -- the solver the scalar search runs on a stack of one, its Gram
-  tables and factorisations shared by the batch -- then replays
-  :func:`~repro.reader.sync.find_tag_timing`'s coarse/refine/walk
-  selection per element on the precomputed metric table;
+  tables and factorisations shared by the batch -- then runs the
+  scalar search's selection walk
+  (:func:`~repro.reader.sync.replay_offset_selection`) per element on
+  the precomputed metric table;
 * the reference channel estimate, MRC, soft demap and Viterbi decode
   run batched, grouped by winning preamble start (one group in the
   common case); the Viterbi kernel is the one the scalar decoder runs
@@ -57,12 +58,14 @@ from .failures import FailureKind, ReaderFailure
 from .fastpath import BatchPreambleSolver
 from .mrc import MrcOutput, _mrc_combine
 from .reader import BackFiReader, ReaderResult
-from .sync import SyncResult, replay_offset_selection
+from .sync import (
+    candidate_window,
+    replay_offset_selection,
+    timing_prior,
+    winning_sync,
+)
 
 __all__ = ["BatchedDecoder"]
-
-_SYNC_STEP = 4
-"""Coarse sweep stride; must match find_tag_timing's default."""
 
 
 def _rng_state(rng: np.random.Generator | None):
@@ -205,31 +208,35 @@ class BatchedDecoder:
         held_out = silent[(3 * silent.size) // 4:]
         noise_floor = np.mean(np.abs(cleaned[:, held_out]) ** 2, axis=1)
 
-        # 2. fine timing: score the full candidate grid for every
-        # element at once, then replay the scalar selection walk on the
-        # metric table.
+        # 2. fine timing: score the candidate grid for every element at
+        # once, then run the scalar selection walk on the metric table.
         results: list[ReaderResult | None] = [None] * n_batch
         search = int(reader.sync_search_us * SAMPLES_PER_US)
-        step = _SYNC_STEP
         n_taps = reader.n_channel_taps
         nominal = timeline.nominal_preamble_start
-        window = (nominal - search - step,
-                  nominal + search + n_taps + 2 * step)
+        lo, hi = window = candidate_window(nominal, search, n_taps)
         solver = BatchPreambleSolver(
             x, cleaned, timeline.preamble_us, n_taps=n_taps,
             preamble_seed=reader.preamble_seed, start_window=window)
-        grid = np.arange(-search - step + 1,
-                         search + n_taps + 2 * step + 1)
+        # Every offset the walk can visit (it never reaches lo itself).
+        grid = np.arange(lo + 1, hi + 1) - nominal
         feasible, resid_p, gain = solver.evaluate(nominal + grid)
-        pen = 1.0 + 0.005 * np.abs(grid).astype(np.float64)
         with np.errstate(invalid="ignore"):
-            metric = resid_p / gain * pen[None, :]
+            metric = resid_p / gain * timing_prior(grid)[None, :]
+
         grid0 = int(grid[0])
+
+        def table_score(b: int):
+            feas, met = feasible[b], metric[b]
+
+            def score(offsets: list[int]) -> list[float | None]:
+                return [float(met[off - grid0]) if feas[off - grid0]
+                        else None for off in offsets]
+            return score
 
         groups: dict[int, list[int]] = {}
         for b in range(n_batch):
-            best = replay_offset_selection(feasible[b], metric[b], grid0,
-                                           search, step, n_taps)
+            best = replay_offset_selection(table_score(b), search, n_taps)
             if best is None:
                 results[b] = ReaderResult(
                     ok=False, cancellation=cancs[b],
@@ -248,16 +255,7 @@ class BatchedDecoder:
             ests = estimate_combined_channel_group(
                 x, cleaned[np.asarray(idxs)], start, timeline.preamble_us,
                 n_taps=n_taps, preamble_seed=reader.preamble_seed)
-            penalty = 1.0 + 0.005 * abs(off)
-            syncs = [
-                SyncResult(
-                    preamble_start=start, offset_samples=off,
-                    estimate=est,
-                    metric=est.residual_power
-                    / max(est.gain, 1e-300) * penalty,
-                )
-                for est in ests
-            ]
+            syncs = [winning_sync(nominal, off, est) for est in ests]
             data_start = start + int(timeline.preamble_us
                                      * SAMPLES_PER_US)
             n_symbols = (timeline.wifi_end - data_start) // sps
@@ -307,15 +305,14 @@ class BatchedDecoder:
 
         Mirrors ``DigitalCanceller.cancel`` per element by calling
         :func:`ls_channel_estimate` with the quantized captures stacked
-        as multi-RHS columns: the method resolution (``"auto"`` ->
-        normal equations for the overdetermined silent fit), the ridge
-        and the singular-Gram SVD fallback are the scalar path's own
-        code, so every element's taps match its scalar fit to float64
-        rounding while the design matrix is factored exactly once.
+        as multi-RHS columns: the normal-equation solve, the ridge and
+        the singular-Gram SVD fallback are the scalar path's own code,
+        so every element's taps match its scalar fit to float64 rounding
+        while the design matrix is factored exactly once.
         """
         n = quantized.shape[1]
         h_all = ls_channel_estimate(x, quantized, digital.n_taps,
-                                    rows=train_rows, method=digital.method)
+                                    rows=train_rows)
         return quantized - stacked_convolve(x, h_all)[..., :n]
 
     def _mrc_group(self, x: np.ndarray, cleaned: np.ndarray,

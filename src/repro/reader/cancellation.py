@@ -27,7 +27,7 @@ import numpy as np
 
 from ..channel.hardware import Adc
 from ..channel.noise import noise_power_mw
-from ..dsp.fastpath import fast_convolve, fastpath_enabled
+from ..dsp.fastpath import fast_convolve
 from ..dsp.measurements import residual_power_db
 from ..telemetry import get_collector
 from ..utils.conversions import db_to_linear
@@ -41,6 +41,7 @@ __all__ = [
     "SelfInterferenceCanceller",
     "StagedCancellation",
     "DEFAULT_ANALOG_RNG_SEED",
+    "DEFAULT_RIDGE",
     "WARM_REUSE_MAX_RISE_DB",
 ]
 
@@ -60,6 +61,11 @@ which a streaming session may reuse the previous exchange's digital
 taps instead of re-fitting.  Matches the reader's
 ``RESIDUAL_FLOOR_RISE_DB`` diagnosis threshold: a reused fit that would
 trip the residual-floor classifier is refit instead."""
+
+DEFAULT_RIDGE = 1e-3
+"""Default Tikhonov ridge of :func:`ls_channel_estimate`, relative to the
+excitation's column energy.  The sync solver and the grouped channel
+estimate fold the same regulariser into their own Gram matrices."""
 
 NORMAL_EQ_MIN_ROWS = 4
 """Row count above which ``method="auto"`` prefers the normal-equation
@@ -86,7 +92,7 @@ def convolution_matrix(x: np.ndarray, n_taps: int,
 def ls_channel_estimate(x: np.ndarray, y: np.ndarray, n_taps: int,
                         rows: np.ndarray | None = None,
                         rcond: float = 1e-9,
-                        ridge: float = 1e-3,
+                        ridge: float = DEFAULT_RIDGE,
                         method: str = "auto") -> np.ndarray:
     """Least-squares FIR channel estimate from known input/output.
 
@@ -107,8 +113,7 @@ def ls_channel_estimate(x: np.ndarray, y: np.ndarray, n_taps: int,
       float64 rounding, at a fraction of the cost for the long
       silent-period fits the :class:`DigitalCanceller` runs.
     * ``"auto"`` -- ``"normal"`` whenever the system is regularised and
-      overdetermined enough for it to be safe (and the fast path is
-      globally enabled), else ``"lstsq"``.
+      overdetermined enough for it to be safe, else ``"lstsq"``.
 
     ``y`` may carry leading batch axes ``(..., n)`` -- a stack of receive
     signals observed through the *same* excitation ``x``.  The design
@@ -134,8 +139,7 @@ def ls_channel_estimate(x: np.ndarray, y: np.ndarray, n_taps: int,
         )
     if method == "auto":
         method = "normal" if (
-            fastpath_enabled() and ridge > 0
-            and a.shape[0] >= NORMAL_EQ_MIN_ROWS * n_taps
+            ridge > 0 and a.shape[0] >= NORMAL_EQ_MIN_ROWS * n_taps
         ) else "lstsq"
     if method == "normal":
         h = _normal_equation_solve(a, b, ridge)
@@ -161,15 +165,11 @@ def _normal_equation_solve(a: np.ndarray, b: np.ndarray,
     """Solve ``(A^H A + lam^2 I) h = A^H b``; None if singular.
 
     The ridge keeps the Gram positive definite, so a plain LAPACK solve
-    on the tiny ``n_taps x n_taps`` system is exact to rounding.  The
-    solve itself is resolved through the backend registry (slot
-    ``"solve"``); auto-detection prefers numpy's over SciPy's Cholesky
-    pair because its call overhead is a third of the wrapper-heavy scipy
-    route on sub-100-tap systems.  ``b`` may be stacked ``(..., rows)``;
+    on the tiny ``n_taps x n_taps`` system is exact to rounding.
+    ``np.linalg.solve`` has about a third of SciPy's wrapper overhead on
+    these sub-100-tap systems.  ``b`` may be stacked ``(..., rows)``;
     all right-hand sides share the one Gram factorisation.
     """
-    from ..dsp.backends import get_kernel
-
     ac = a.conj().T
     g = ac @ a
     if ridge > 0:
@@ -179,10 +179,10 @@ def _normal_equation_solve(a: np.ndarray, b: np.ndarray,
         g.flat[:: g.shape[0] + 1] += ridge * max(col_energy, 1e-300)
     try:
         if b.ndim <= 1:
-            return get_kernel("solve")(g, ac @ b)
+            return np.linalg.solve(g, ac @ b)
         batch = b.shape[:-1]
         rhs = ac @ b.reshape(-1, b.shape[-1]).T
-        h = get_kernel("solve")(g, rhs)
+        h = np.linalg.solve(g, rhs)
         return h.T.reshape(batch + (g.shape[0],))
     except np.linalg.LinAlgError:
         return None
@@ -248,20 +248,17 @@ class AnalogCanceller:
 class DigitalCanceller:
     """Linear LS digital cancellation trained on the silent period.
 
-    ``method`` is forwarded to :func:`ls_channel_estimate`: the default
-    ``"auto"`` takes the Cholesky normal-equation fast path for the
-    long silent-period fit (the silent period always has far more rows
-    than taps); ``"lstsq"`` forces the reference SVD solve.
+    The silent period always has far more rows than taps, so the fit
+    takes :func:`ls_channel_estimate`'s normal-equation solve.
     """
 
     n_taps: int = 24
-    method: str = "auto"
 
     def estimate(self, x: np.ndarray, residual: np.ndarray,
                  silent_rows: np.ndarray) -> np.ndarray:
         """Estimate the residual SI channel using only silent samples."""
         return ls_channel_estimate(x, residual, self.n_taps,
-                                   rows=silent_rows, method=self.method)
+                                   rows=silent_rows)
 
     def cancel(self, x: np.ndarray, residual: np.ndarray,
                silent_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,8 +309,7 @@ class SelfInterferenceCanceller:
         """
         return SelfInterferenceCanceller(
             analog=self.analog,
-            digital=DigitalCanceller(n_taps=self.digital.n_taps * factor,
-                                     method=self.digital.method),
+            digital=DigitalCanceller(n_taps=self.digital.n_taps * factor),
             adc=self.adc,
             analog_enabled=self.analog_enabled,
             digital_enabled=self.digital_enabled,

@@ -17,14 +17,10 @@ import numpy as np
 from ..constants import SAMPLES_PER_US
 from ..dsp.fastpath import fast_convolve
 from ..tag.tag import PREAMBLE_CHIP_US, tag_preamble_phases
-from .cancellation import ls_channel_estimate
+from .cancellation import DEFAULT_RIDGE, ls_channel_estimate
 
 __all__ = ["ChannelEstimate", "estimate_combined_channel",
            "estimate_combined_channel_group", "preamble_condition_number"]
-
-_RIDGE = 1e-3
-"""Must match :func:`ls_channel_estimate`'s default ridge -- the group
-path folds the identical regulariser into its shared Gram matrix."""
 
 DEFAULT_N_TAPS = 8
 """Taps for h_fb: indoor delay spreads of 50-80 ns are 1-2 samples per
@@ -167,22 +163,20 @@ def estimate_combined_channel_group(
     all won the same preamble start against the same excitation ``x``
     (a batched decoder's per-offset group).  The excitation-side work --
     chip derotation geometry, convolution matrix, Gram factorisation --
-    is done once; every element is solved as one multi-RHS system
-    through the ``"solve"`` backend and matches its scalar call to
-    float64 rounding.
+    is done once; every element is solved as one multi-RHS system and
+    matches its scalar call to float64 rounding.
 
-    With the fast path globally disabled (``REPRO_FASTPATH=0``), or on a
-    singular Gram, each element runs the scalar reference estimator
-    instead, preserving the scalar path's exact behaviour.
+    On a singular Gram each element runs the scalar estimator instead,
+    preserving the scalar path's exact behaviour.
     """
-    from ..dsp.backends import get_kernel
-    from ..dsp.fastpath import fastpath_enabled
     from .cancellation import convolution_matrix
 
     x = np.asarray(x, dtype=np.complex128)
     y_stack = np.asarray(y_stack, dtype=np.complex128)
     if y_stack.ndim != 2 or y_stack.shape[1] != x.size:
         raise ValueError("y_stack must be (n_group, len(x))")
+    if preamble_start < 0:
+        raise ValueError("preamble starts before the capture")
     n = y_stack.shape[1]
 
     def _scalar_fallback() -> list[ChannelEstimate]:
@@ -192,10 +186,6 @@ def estimate_combined_channel_group(
                 n_taps=n_taps, preamble_seed=preamble_seed)
             for j in range(y_stack.shape[0])
         ]
-
-    if not fastpath_enabled():
-        # The scalar path would take the SVD solver; run it per element.
-        return _scalar_fallback()
 
     preamble = tag_preamble_phases(preamble_us, seed=preamble_seed)
     n_chips = int(round(preamble_us / PREAMBLE_CHIP_US))
@@ -209,9 +199,9 @@ def estimate_combined_channel_group(
     ac = a.conj().T
     g = ac @ a
     col_energy = float(np.mean(g.diagonal().real))
-    g.flat[:: n_taps + 1] += _RIDGE * max(col_energy, 1e-300)
+    g.flat[:: n_taps + 1] += DEFAULT_RIDGE * max(col_energy, 1e-300)
     try:
-        h = get_kernel("solve")(g, ac @ yd.T)            # (nt, n_group)
+        h = np.linalg.solve(g, ac @ yd.T)                # (nt, n_group)
     except np.linalg.LinAlgError:
         return _scalar_fallback()
     resid = yd - (a @ h).T

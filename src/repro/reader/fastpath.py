@@ -1,8 +1,9 @@
 """Chip-comb normal-equation solver for the fine-timing search.
 
-The direct form of :func:`repro.reader.sync.find_tag_timing` re-runs a
-full SVD least-squares fit (:func:`estimate_combined_channel`) at every
-candidate offset -- dozens of independent ``lstsq`` calls per frame.
+The reference form of :func:`repro.reader.sync.find_tag_timing` (kept
+as the test oracle in ``tests/dsp_oracle.py``) re-runs a full
+least-squares fit (:func:`estimate_combined_channel`) at every candidate
+offset -- dozens of independent solves per frame.
 
 This module removes the redundancy.  For a candidate preamble start
 ``s`` the LS problem is ``min_h ||y_s - A_s h||``: row ``r`` of ``A_s``
@@ -45,15 +46,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..constants import SAMPLES_PER_US
-from ..dsp.backends import get_kernel
 from ..tag.tag import PREAMBLE_CHIP_US
 from ..utils.bits import barker_like_sequence
+from .cancellation import DEFAULT_RIDGE
 
 __all__ = ["BatchPreambleSolver"]
-
-_RIDGE = 1e-3
-"""Must match the default of :func:`ls_channel_estimate`, which the
-direct path uses -- the two paths solve the same regularised problem."""
 
 
 def _chip_comb(rows: np.ndarray, weights: np.ndarray, n_blocks: int,
@@ -178,7 +175,7 @@ class BatchPreambleSolver:
         # Ridge identical to ls_channel_estimate: lam^2 is ridge times
         # the mean column energy (the mean Gram diagonal).
         diag = np.einsum("skk->sk", gram).real
-        self._lam2 = _RIDGE * np.maximum(diag.mean(axis=1), 1e-300)
+        self._lam2 = DEFAULT_RIDGE * np.maximum(diag.mean(axis=1), 1e-300)
         gram[:, np.arange(t), np.arange(t)] += self._lam2[:, None]
         self._rhs = start_sums(rhs, self.chips, n_starts, t - 1)
         self._ysq = start_sums(energy, ones, n_starts, t - 1)
@@ -240,7 +237,7 @@ class BatchPreambleSolver:
         # One stacked solve: candidate s's factorisation serves all nb
         # right-hand-side columns.
         try:
-            h = get_kernel("solve")(g, b_solve)          # (S, t, nb)
+            h = np.linalg.solve(g, b_solve)              # (S, t, nb)
         except np.linalg.LinAlgError:
             shape = (nb, n_cand)
             return (np.zeros(shape, dtype=bool),

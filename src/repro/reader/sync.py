@@ -8,32 +8,26 @@ candidate offsets and picks the one whose LS channel fit to the known
 preamble leaves the smallest residual -- equivalent to correlating with
 the PN preamble, but reusing the estimator we already have.
 
-Two implementations of the search share identical selection logic:
-
-* the **fast path** (default) scores every candidate offset through
-  :class:`~repro.reader.fastpath.BatchPreambleSolver` on a stack of one
-  -- chip-comb tables built once, then one batched normal-equation
-  solve per sweep -- and runs the full SVD estimator exactly once, at
-  the winning offset;
-* the **direct path** (``fast=False``, or ``REPRO_FASTPATH=0``) runs
-  :func:`estimate_combined_channel` at every candidate, as the original
-  pipeline did.  It is kept as the reference for the equivalence suite
-  and for the perf benchmarks.
-
-Both paths return the same winning offset on the tier-1 scenarios
-(asserted by ``tests/test_fastpath.py``), and the returned
-:class:`ChannelEstimate` always comes from the reference estimator, so
-everything downstream of sync is bit-identical between the two.
+Candidates are scored by
+:class:`~repro.reader.fastpath.BatchPreambleSolver`: chip-comb tables
+built once over :func:`candidate_window`, then one batched
+normal-equation solve per sweep.  :func:`replay_offset_selection` is the
+one selection walk (coarse sweep, single-sample refinement, boundary
+walk).  :func:`find_tag_timing` runs it on a capture, scoring only the
+offsets each of its three sweeps visits; ``BatchedDecoder`` runs it per
+element on a metric table precomputed for the whole window.  Both then
+run the full SVD estimator once, at the winning offset, so everything
+downstream of sync comes from the reference estimator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..constants import SAMPLES_PER_US
-from ..dsp.fastpath import fastpath_enabled
 from ..telemetry import get_collector
 from .channel_est import (
     ChannelEstimate,
@@ -42,7 +36,11 @@ from .channel_est import (
 )
 from .fastpath import BatchPreambleSolver
 
-__all__ = ["SyncResult", "find_tag_timing", "replay_offset_selection"]
+__all__ = ["SYNC_STEP", "SyncResult", "candidate_window", "find_tag_timing",
+           "replay_offset_selection", "timing_prior", "winning_sync"]
+
+SYNC_STEP = 4
+"""Stride of the coarse offset sweep, in samples."""
 
 
 @dataclass(frozen=True)
@@ -55,6 +53,43 @@ class SyncResult:
     metric: float
 
 
+def timing_prior(offset):
+    """Penalty factor on the metric of a candidate ``offset`` samples
+    from the nominal start (an int or an integer array).
+
+    A gentle prior toward the nominal timing: for wideband excitations
+    the residual contrast is orders of magnitude, so this never changes
+    the answer; for narrowband excitations (BLE/Zigbee) whose
+    autocorrelation makes the metric nearly flat, it pins the flat
+    region to the protocol timeline.
+    """
+    return 1.0 + 0.005 * abs(offset)
+
+
+def candidate_window(nominal: int, search: int,
+                     n_taps: int) -> tuple[int, int]:
+    """Inclusive ``(lo, hi)`` preamble starts the selection walk can visit.
+
+    Every candidate the coarse sweep, refinement and boundary walk of
+    :func:`replay_offset_selection` can reach lies inside; the solver
+    only builds its tables over the rows this window can touch.
+    """
+    return (nominal - search - SYNC_STEP,
+            nominal + search + n_taps + 2 * SYNC_STEP)
+
+
+def winning_sync(nominal: int, offset: int,
+                 est: ChannelEstimate) -> SyncResult:
+    """The search's result at ``offset``, scored on the reference ``est``."""
+    return SyncResult(
+        preamble_start=nominal + offset,
+        offset_samples=offset,
+        estimate=est,
+        metric=est.residual_power / max(est.gain, 1e-300)
+        * timing_prior(offset),
+    )
+
+
 def find_tag_timing(
     x: np.ndarray,
     y_clean: np.ndarray,
@@ -62,141 +97,51 @@ def find_tag_timing(
     preamble_us: float,
     *,
     search_us: float = 2.0,
-    step_samples: int = 4,
     n_taps: int = 8,
     preamble_seed: int = 0x35,
-    fast: bool | None = None,
 ) -> SyncResult:
     """Search +-``search_us`` around the nominal preamble start.
 
     The metric is the normalised LS residual: sharper (smaller) when the
     assumed chip boundaries line up with the tag's actual switching
     instants.  A final pass refines to single-sample resolution.
-
-    ``fast=None`` follows the global switch
-    (:func:`repro.dsp.fastpath.fastpath_enabled`); ``True``/``False``
-    force the batched normal-equation sweep or the per-offset SVD
-    reference respectively.
     """
+    nominal = nominal_preamble_start
     search = int(search_us * SAMPLES_PER_US)
-    if step_samples < 1:
-        raise ValueError("step must be >= 1")
-    if fast is None:
-        fast = fastpath_enabled()
     tm = get_collector()
     n_evaluated = 0
+    solver = BatchPreambleSolver(
+        x, np.asarray(y_clean)[None], preamble_us, n_taps=n_taps,
+        preamble_seed=preamble_seed,
+        start_window=candidate_window(nominal, search, n_taps))
 
-    def penalty(start: int) -> float:
-        # A gentle prior toward the nominal timing: for wideband
-        # excitations the residual contrast is orders of magnitude, so
-        # this never changes the answer; for narrowband excitations
-        # (BLE/Zigbee) whose autocorrelation makes the metric nearly
-        # flat, it pins the flat region to the protocol timeline.
-        off = abs(start - nominal_preamble_start)
-        return 1.0 + 0.005 * off
-
-    if fast:
-        # Every candidate the coarse sweep, refinement and boundary walk
-        # can visit lies inside this window; the solver only builds its
-        # tables over the rows the window can touch.
-        window = (nominal_preamble_start - search - step_samples,
-                  nominal_preamble_start + search + n_taps
-                  + 2 * step_samples)
-        solver = BatchPreambleSolver(
-            x, np.asarray(y_clean)[None], preamble_us, n_taps=n_taps,
-            preamble_seed=preamble_seed, start_window=window)
-
-        def metric_batch(offsets: list[int]) -> list[float | None]:
-            """Fast metric (or None = infeasible) per candidate offset."""
-            nonlocal n_evaluated
-            n_evaluated += len(offsets)
-            starts = nominal_preamble_start + np.asarray(offsets)
-            feasible, residual_power, gain = (
-                a[0] for a in solver.evaluate(starts))
-            return [
-                float(residual_power[i] / gain[i]
-                      * penalty(int(starts[i]))) if feasible[i] else None
-                for i in range(len(offsets))
-            ]
-    else:
-        estimates: dict[int, ChannelEstimate] = {}
-
-        def metric_one(start: int) -> float | None:
-            nonlocal n_evaluated
-            n_evaluated += 1
-            if start < 0:
-                return None
-            try:
-                est = estimate_combined_channel(
-                    x, y_clean, start, preamble_us,
-                    n_taps=n_taps, preamble_seed=preamble_seed,
-                )
-            except ValueError:
-                return None
-            if est.gain <= 0:
-                return None
-            estimates[start] = est
-            return est.residual_power / est.gain * penalty(start)
-
-        def metric_batch(offsets: list[int]) -> list[float | None]:
-            return [metric_one(nominal_preamble_start + off)
-                    for off in offsets]
+    def score(offsets: list[int]) -> list[float | None]:
+        """Penalised metric (or None = infeasible) per candidate offset."""
+        nonlocal n_evaluated
+        n_evaluated += len(offsets)
+        feasible, residual_power, gain = (
+            a[0] for a in solver.evaluate(nominal + np.asarray(offsets)))
+        return [
+            float(residual_power[i] / gain[i] * timing_prior(off))
+            if feasible[i] else None
+            for i, off in enumerate(offsets)
+        ]
 
     with tm.span("sync") as sp:
-        # Coarse sweep at step_samples resolution.
-        coarse_offs = list(range(-search, search + 1, step_samples))
-        best: tuple[float, int] | None = None
-        for off, m in zip(coarse_offs, metric_batch(coarse_offs)):
-            if m is None:
-                continue
-            if best is None or m < best[0]:
-                best = (m, off)
+        best = replay_offset_selection(score, search, n_taps)
         if best is None:
             sp.probe("candidates", n_evaluated)
             raise ValueError("no feasible timing offset found")
-
-        # Refine around the coarse winner at single-sample resolution.
-        coarse_off = best[1]
-        refine_offs = [off for off in range(coarse_off - step_samples + 1,
-                                            coarse_off + step_samples)
-                       if off != coarse_off]
-        for off, m in zip(refine_offs, metric_batch(refine_offs)):
-            if m is not None and m < best[0]:
-                best = (m, off)
-
-        # The LS fit is invariant to starting up to n_taps-1 samples
-        # early (the shift is absorbed as leading delay taps), so the
-        # metric is flat on the early side and cliffs on the late side.
-        # Walk forward to the latest offset that still fits -- the true
-        # chip boundary.  The late-side cliff is orders of magnitude, so
-        # this factor cannot overshoot the boundary for wideband
-        # excitations; the timing prior bounds the walk for narrowband
-        # ones.
-        tol = 1.5 * best[0] + 1e-30
-        walk_offs = [best[1] + 1 + i for i in range(n_taps + step_samples)]
-        for off, m in zip(walk_offs, metric_batch(walk_offs)):
-            if m is None or m > tol:
-                break
-            best = (m, off)
-
-        m, off = best
-        start = nominal_preamble_start + off
-        if fast:
-            # One reference-estimator run at the winner, so the returned
-            # estimate (and everything downstream) is identical to the
-            # direct path's.
-            est = estimate_combined_channel(
-                x, y_clean, start, preamble_us,
-                n_taps=n_taps, preamble_seed=preamble_seed,
-            )
-            m = est.residual_power / max(est.gain, 1e-300) * penalty(start)
-        else:
-            est = estimates[start]
+        off = best[1]
+        est = estimate_combined_channel(
+            x, y_clean, nominal + off, preamble_us,
+            n_taps=n_taps, preamble_seed=preamble_seed,
+        )
+        sync = winning_sync(nominal, off, est)
         sp.probe("offset_samples", off)
-        sp.probe("metric", m)
+        sp.probe("metric", sync.metric)
         sp.probe("candidates", n_evaluated)
         sp.probe("search_samples", 2 * search + 1)
-        sp.probe("fast_path", fast)
 
     # Report the winning estimate's quality as its own stage: in the
     # pipeline story channel estimation is a distinct step even though
@@ -210,58 +155,52 @@ def find_tag_timing(
         if tm.enabled:
             # An extra SVD -- only worth it when someone is listening.
             sp.probe("condition_number", preamble_condition_number(
-                x, nominal_preamble_start + off, preamble_us,
-                n_taps=n_taps,
+                x, nominal + off, preamble_us, n_taps=n_taps,
             ))
 
-    return SyncResult(
-        preamble_start=nominal_preamble_start + off,
-        offset_samples=off,
-        estimate=est,
-        metric=m,
-    )
+    return sync
 
 
-def replay_offset_selection(feasible: np.ndarray, metric: np.ndarray,
-                            grid0: int, search: int, step: int,
-                            n_taps: int) -> tuple[float, int] | None:
-    """Replay :func:`find_tag_timing`'s selection on a metric table.
+def replay_offset_selection(
+    score: Callable[[list[int]], Sequence[float | None]],
+    search: int, n_taps: int,
+) -> tuple[float, int] | None:
+    """The timing search's selection walk over candidate offsets.
 
-    ``metric[off - grid0]`` holds the (penalised) metric for candidate
-    offset ``off`` and ``feasible`` masks valid entries.  The selection
-    logic -- coarse sweep order, strict-less tie-breaks, single-sample
-    refinement, the 1.5x boundary-walk tolerance -- is the verbatim walk
-    from :func:`find_tag_timing`, factored out so batched decoders that
-    precompute the whole candidate grid (one
-    :class:`~repro.reader.fastpath.BatchPreambleSolver` sweep per batch)
-    pick the identical winning offset per element.  Returns
-    ``(metric, offset)`` or ``None`` when no candidate is feasible.
+    ``score(offsets)`` returns the penalised metric of each offset, or
+    ``None`` where the candidate is infeasible; it is called once per
+    sweep -- the coarse grid at :data:`SYNC_STEP`, the single-sample
+    refinement around the coarse winner, then the boundary walk -- and
+    every offset it sees lies inside :func:`candidate_window`.  Ties
+    keep the earlier candidate.  Returns ``(metric, offset)`` or
+    ``None`` when no coarse candidate is feasible.
     """
-    def mat(off: int) -> float | None:
-        i = off - grid0
-        if not feasible[i]:
-            return None
-        return float(metric[i])
-
+    step = SYNC_STEP
     best: tuple[float, int] | None = None
-    for off in range(-search, search + 1, step):
-        m = mat(off)
-        if m is None:
-            continue
-        if best is None or m < best[0]:
+    coarse = list(range(-search, search + 1, step))
+    for off, m in zip(coarse, score(coarse)):
+        if m is not None and (best is None or m < best[0]):
             best = (m, off)
     if best is None:
         return None
-    coarse = best[1]
-    for off in range(coarse - step + 1, coarse + step):
-        if off == coarse:
-            continue
-        m = mat(off)
+
+    # Refine around the coarse winner at single-sample resolution.
+    refine = [off for off in range(best[1] - step + 1, best[1] + step)
+              if off != best[1]]
+    for off, m in zip(refine, score(refine)):
         if m is not None and m < best[0]:
             best = (m, off)
+
+    # The LS fit is invariant to starting up to n_taps-1 samples early
+    # (the shift is absorbed as leading delay taps), so the metric is
+    # flat on the early side and cliffs on the late side.  Walk forward
+    # to the latest offset that still fits -- the true chip boundary.
+    # The late-side cliff is orders of magnitude, so this factor cannot
+    # overshoot the boundary for wideband excitations; the timing prior
+    # bounds the walk for narrowband ones.
     tol = 1.5 * best[0] + 1e-30
-    for off in range(best[1] + 1, best[1] + 1 + n_taps + step):
-        m = mat(off)
+    walk = list(range(best[1] + 1, best[1] + 1 + n_taps + step))
+    for off, m in zip(walk, score(walk)):
         if m is None or m > tol:
             break
         best = (m, off)

@@ -271,15 +271,6 @@ class ScenarioConfig:
     seed: int = 0
     """Default RNG seed used by :meth:`build` when no rng is passed."""
 
-    backend: str | None = None
-    """Kernel-backend provider this scenario's runs select (see
-    :mod:`repro.dsp.backends`), applied as a blanket override around
-    :meth:`BuiltScenario.run`.  ``None`` keeps whatever the environment
-    and auto-detection resolve; a name (``"numpy"``, ``"scipy"``,
-    ``"numba"``) pins every kernel that provider implements.  Results
-    are backend-invariant (rtol 1e-10); this field exists for perf
-    pinning and for reproducing backend-specific timings."""
-
     scene: SceneConfig = field(default_factory=SceneConfig)
     tag: TagConfig = field(default_factory=TagConfig)
     reader: ReaderConfig = field(default_factory=ReaderConfig)
@@ -321,7 +312,6 @@ class ScenarioConfig:
             "client_distance_m": self.client_distance_m,
             "client_angle_deg": self.client_angle_deg,
             "seed": self.seed,
-            "backend": self.backend,
             "scene": dataclasses.asdict(self.scene),
             "tag": dataclasses.asdict(self.tag),
             "reader": dataclasses.asdict(self.reader),
@@ -349,8 +339,7 @@ class ScenarioConfig:
         data = dict(data)
         kwargs: dict[str, Any] = {}
         for key in ("name", "description", "distance_m",
-                    "client_distance_m", "client_angle_deg", "seed",
-                    "backend"):
+                    "client_distance_m", "client_angle_deg", "seed"):
             if key in data:
                 kwargs[key] = data.pop(key)
         section_builders = {
@@ -390,14 +379,10 @@ class ScenarioConfig:
         ``name`` and ``description`` are excluded: two spellings of the
         same operating point hash identically, so cache keys and
         telemetry headers identify *configurations*, not labels.
-        ``backend`` is excluded for the same reason -- results are
-        backend-invariant, so pinning a kernel provider does not change
-        the physics being simulated.
         """
         payload = self.to_dict()
         payload.pop("name")
         payload.pop("description")
-        payload.pop("backend")
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -545,9 +530,6 @@ class BuiltScenario:
         scenario's link knobs.  When telemetry is enabled the scenario
         hash + dict are stamped into the run header.
         """
-        from contextlib import nullcontext
-
-        from ..dsp.backends import use_backend
         from ..link.session import run_backscatter_session
         from ..telemetry import get_collector
 
@@ -556,15 +538,10 @@ class BuiltScenario:
             tm.set_scenario(self.config)
         kwargs = self.session_kwargs()
         kwargs.update(overrides)
-        # nullcontext when unset: an unpinned scenario must not clobber
-        # an outer use_backend()/env override.
-        ctx = use_backend(self.config.backend) \
-            if self.config.backend is not None else nullcontext()
-        with ctx:
-            return run_backscatter_session(
-                self.scene,
-                self.tag,
-                self.reader,
-                rng=self.rng if rng is None else rng,
-                **kwargs,
-            )
+        return run_backscatter_session(
+            self.scene,
+            self.tag,
+            self.reader,
+            rng=self.rng if rng is None else rng,
+            **kwargs,
+        )

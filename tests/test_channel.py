@@ -1,7 +1,12 @@
 """Unit tests for the channel and hardware models."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.channel import (
     Adc,
@@ -22,8 +27,14 @@ from repro.channel import (
     rician_channel,
     thermal_noise_dbm,
 )
-from repro.channel.hardware import coherence_impairment
+from repro.channel.hardware import (
+    ar1_drift_params,
+    ar1_filter,
+    coherence_impairment,
+    draw_ar1_innovations,
+)
 from repro.utils.conversions import power
+from dsp_oracle import ar1_loop
 
 
 class TestPathloss:
@@ -204,6 +215,48 @@ class TestHardware:
             coherence_impairment(-1, 0.1, 10, rng)
         with pytest.raises(ValueError):
             coherence_impairment(10, -0.1, 10, rng)
+
+
+class TestAr1Filter:
+    """The two-plane SciPy recursion against the Python-loop oracle."""
+
+    def _w(self, shape):
+        rng = np.random.default_rng(99)
+        return (rng.standard_normal(shape)
+                + 1j * rng.standard_normal(shape))
+
+    def test_scalar_bit_identity(self):
+        w = self._w(500)
+        assert np.array_equal(ar1_filter(w, 0.97, 0.3 - 0.1j),
+                              ar1_loop(w, 0.97, 0.3 - 0.1j))
+
+    def test_batched_rows_match_scalar_calls(self):
+        w = self._w((6, 300))
+        prev = self._w(6)
+        for fn in (ar1_filter, ar1_loop):
+            batched = fn(w, 0.9, prev)
+            rows = np.stack([fn(w[i], 0.9, prev[i]) for i in range(6)])
+            assert np.array_equal(batched, rows), fn.__name__
+        assert np.array_equal(ar1_filter(w, 0.9, prev),
+                              ar1_loop(w, 0.9, prev))
+
+    def test_recursion_matches_definition(self):
+        w = self._w(64)
+        out = ar1_filter(w, 0.8, 1.0 + 0j)
+        acc, expect = 1.0 + 0j, []
+        for wi in w:
+            acc = wi + 0.8 * acc
+            expect.append(acc)
+        np.testing.assert_allclose(out, expect, rtol=1e-12)
+
+    def test_coherence_impairment_matches_oracle_loop(self):
+        n, rms, coherence = 2048, 5e-3, 400.0
+        got = coherence_impairment(n, rms, coherence,
+                                   np.random.default_rng(7))
+        rho, scale = ar1_drift_params(rms, coherence)
+        w, prev = draw_ar1_innovations(n, rms, scale,
+                                       np.random.default_rng(7))
+        assert np.array_equal(got, 1.0 + ar1_loop(w, rho, prev))
 
 
 class TestScene:

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.engine import (
-    BATCH_CELLS_ENV,
     ExperimentEngine,
     JobRecord,
     TrialFailure,
-    batch_cells_enabled,
     cache_key,
     cell_map,
     code_fingerprint,
@@ -19,6 +17,7 @@ from repro.experiments.engine import (
     spawn_seeds,
     use_engine,
 )
+from repro.telemetry import TelemetryCollector, use_collector
 
 _CALLS = {"n": 0}
 
@@ -54,10 +53,6 @@ def _cell_boom_on_2(cell):
     if 2 in cell:
         raise ValueError("cell boom")
     return [x * 10 for x in cell]
-
-
-def _cell_always_boom(cell):
-    raise RuntimeError("primary must not run")
 
 
 def _cell_trial_loop(cell):
@@ -294,13 +289,19 @@ class TestCellMap:
         assert cell_map(_cell_tens, []) == []
 
     def test_failed_cell_reruns_via_fallback(self):
+        collector = TelemetryCollector()
         with ExperimentEngine(jobs=1, cache=False) as eng, \
-                use_engine(eng):
+                use_engine(eng), use_collector(collector):
+            clean = cell_map(_cell_tens, self.CELLS,
+                             fallback=_cell_trial_loop)
+            assert "engine.cell_fallback" not in collector.counters
             out = cell_map(_cell_boom_on_2, self.CELLS,
                            fallback=_cell_trial_loop)
-        # The crashed cell was recovered trial-by-trial; nothing lost.
-        assert out == self.EXPECT
+        # The crashed cell was recovered trial-by-trial; nothing lost,
+        # and the re-run is counted.
+        assert clean == out == self.EXPECT
         assert eng.trial_failures == []
+        assert collector.counters.get("engine.cell_fallback") == 1
 
     def test_failed_cell_without_fallback_records_failure(self):
         with ExperimentEngine(jobs=1, cache=False) as eng, \
@@ -317,28 +318,6 @@ class TestCellMap:
                            fallback=_cell_boom_on_2)
         assert out == [[0, 10], None, [40, 50, 60]]
         assert [f.index for f in eng.trial_failures] == [1]
-
-    def test_kill_switch_routes_through_fallback(self, monkeypatch):
-        monkeypatch.setenv(BATCH_CELLS_ENV, "0")
-        assert not batch_cells_enabled()
-        with ExperimentEngine(jobs=1, cache=False) as eng, \
-                use_engine(eng):
-            # The primary raises unconditionally: correct results prove
-            # every cell went straight to the fallback.
-            out = cell_map(_cell_always_boom, self.CELLS,
-                           fallback=_cell_trial_loop)
-        assert out == self.EXPECT
-        assert eng.trial_failures == []
-
-    def test_kill_switch_ignored_without_fallback(self, monkeypatch):
-        monkeypatch.setenv(BATCH_CELLS_ENV, "0")
-        with ExperimentEngine(jobs=1, cache=False) as eng, \
-                use_engine(eng):
-            assert cell_map(_cell_tens, self.CELLS) == self.EXPECT
-
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(BATCH_CELLS_ENV, raising=False)
-        assert batch_cells_enabled()
 
 
 class TestExperimentDeterminism:

@@ -2,9 +2,9 @@
 
 Every fast kernel must agree with its direct reference form to float64
 rounding (rtol <= 1e-10) across the crossover boundary, and the
-fine-timing search must pick the identical offset on both paths for the
-tier-1 link scenarios.  These tests are what lets ``REPRO_FASTPATH``
-stay an implementation detail rather than a behavioural switch.
+fine-timing search must pick the identical offset as the per-offset
+reference search for generated link scenarios.  The reference forms
+live in ``dsp_oracle.py``.
 """
 
 import sys
@@ -12,22 +12,30 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from dsp_oracle import (
+    correlate_valid_direct,
+    estimate_combined_channel_svd,
+    find_tag_timing_direct,
+    normalized_cross_correlation_direct,
+    sequence_direct,
+)
 from repro.coding.convolutional import (
     _PUNCTURE_PATTERNS,
     depuncture,
     puncture,
 )
 from repro.coding.interleaver import interleave_indices
-from repro.coding.scrambler import _sequence_direct, scrambler_sequence
+from repro.coding.scrambler import scrambler_sequence
+from repro.dsp.correlation import normalized_cross_correlation
 from repro.dsp.fastpath import (
     FFT_MIN_TAPS,
     fast_convolve,
     fast_correlate_valid,
-    fastpath_enabled,
-    set_fastpath_enabled,
     stacked_convolve,
     use_fft,
 )
@@ -88,7 +96,15 @@ class TestFastCorrelate:
     def test_matches_direct(self, rng, n, m):
         x, t = _cnoise(rng, n), _cnoise(rng, m)
         _assert_close(fast_correlate_valid(x, t),
-                      np.correlate(x, t, mode="valid"))
+                      correlate_valid_direct(x, t))
+
+    @pytest.mark.parametrize("shape_x,shape_t", [
+        ((500,), (50,)), ((8191,), (255,)), ((3, 4096), (96,)),
+    ])
+    def test_normalized_matches_direct(self, rng, shape_x, shape_t):
+        x, t = _cnoise(rng, shape_x), _cnoise(rng, shape_t)
+        _assert_close(normalized_cross_correlation(x, t),
+                      normalized_cross_correlation_direct(x, t))
 
     def test_template_longer_than_signal(self, rng):
         out = fast_correlate_valid(_cnoise(rng, 4), _cnoise(rng, 9))
@@ -148,15 +164,14 @@ class TestBatchAxes:
             fn(_cnoise(rng, (3, 100)), _cnoise(rng, (4, 5)))
 
     def test_dtype_complex128_across_backends(self, rng):
-        from repro.dsp.backends import available_backends, use_backend
-
+        # complex64 input comes back complex128 from both the direct C
+        # loop (short filter) and the scipy.fft overlap-save (long one).
         x = _cnoise(rng, (2, 4096)).astype(np.complex64)
-        h = _cnoise(rng, (2, 256))
-        for name in available_backends()["fft"]:
-            with use_backend(name, kernel="fft"):
-                for fn in (fast_convolve, stacked_convolve,
-                           fast_correlate_valid):
-                    assert fn(x, h).dtype == np.complex128, (name, fn)
+        for taps in (8, 256):
+            h = _cnoise(rng, (2, taps))
+            for fn in (fast_convolve, stacked_convolve,
+                       fast_correlate_valid):
+                assert fn(x, h).dtype == np.complex128, (taps, fn)
 
     def test_broadcast_shared_signal(self, rng):
         # One signal against a stack of filters (the sweep-cell shape).
@@ -186,35 +201,12 @@ class TestStackedConvolve:
         h = _cnoise(rng, (2, 256))
         _assert_close(stacked_convolve(x, h), fast_convolve(x, h))
 
-    def test_disabled_fastpath_delegates(self, rng):
-        x, h = _cnoise(rng, (3, 400)), _cnoise(rng, (3, 8))
-        prev = set_fastpath_enabled(False)
-        try:
-            out = stacked_convolve(x, h)
-        finally:
-            set_fastpath_enabled(prev)
-        ref = np.stack([np.convolve(x[i], h[i]) for i in range(3)])
-        _assert_close(out, ref)
 
-
-class TestGlobalSwitch:
-    def test_toggle_restores(self):
-        prev = set_fastpath_enabled(False)
-        try:
-            assert not fastpath_enabled()
-            assert not use_fft(1 << 20, 4096)
-        finally:
-            set_fastpath_enabled(prev)
-        assert fastpath_enabled() == prev
-
+class TestCrossover:
     def test_crossover_predicate(self):
-        prev = set_fastpath_enabled(True)
-        try:
-            assert not use_fft(1000, FFT_MIN_TAPS - 1)
-            assert not use_fft(100, FFT_MIN_TAPS)  # too little work
-            assert use_fft(1 << 16, 256)
-        finally:
-            set_fastpath_enabled(prev)
+        assert not use_fft(1000, FFT_MIN_TAPS - 1)
+        assert not use_fft(100, FFT_MIN_TAPS)  # too little work
+        assert use_fft(1 << 16, 256)
 
 
 class TestNormalEquationEstimate:
@@ -240,39 +232,37 @@ class TestNormalEquationEstimate:
         with pytest.raises(ValueError, match="method"):
             ls_channel_estimate(x, x, 4, method="qr")
 
-    def test_auto_respects_global_switch(self, rng):
-        # With the fast path off, "auto" must give bit-identical output
-        # to the explicit lstsq reference.
-        n = 1024
-        x = _cnoise(rng, n)
-        y = np.convolve(x, [0.5, 0.1j])[:n]
-        rows = np.arange(100, 400)
-        prev = set_fastpath_enabled(False)
-        try:
-            h_auto = ls_channel_estimate(x, y, 8, rows=rows)
-        finally:
-            set_fastpath_enabled(prev)
-        h_ref = ls_channel_estimate(x, y, 8, rows=rows, method="lstsq")
-        assert np.array_equal(h_auto, h_ref)
+
+def _assert_timing_matches_oracle(offset, noise_mw, seed):
+    rng = np.random.default_rng(seed)
+    tl, x, y, *_ = _make_link(rng, offset=offset, noise_mw=noise_mw)
+    nominal = tl.nominal_preamble_start
+    res_fast = find_tag_timing(x, y, nominal, 32.0)
+    res_direct = find_tag_timing_direct(x, y, nominal, 32.0)
+    res_svd = find_tag_timing_direct(
+        x, y, nominal, 32.0, estimator=estimate_combined_channel_svd)
+    assert res_fast.offset_samples == res_direct.offset_samples \
+        == res_svd.offset_samples
+    # The returned estimate comes from the reference estimator on
+    # both paths, so downstream decode state is bit-identical.
+    assert np.array_equal(res_fast.estimate.h_fb,
+                          res_direct.estimate.h_fb)
+    assert res_fast.metric == pytest.approx(res_direct.metric, rel=1e-9)
 
 
 class TestFineTimingEquivalence:
     @pytest.mark.parametrize("offset", [-7, 0, 5, 13])
     @pytest.mark.parametrize("noise_mw", [0.0, 1e-8])
     def test_identical_offset(self, offset, noise_mw):
-        rng = np.random.default_rng(100 + abs(offset))
-        tl, x, y, *_ = _make_link(rng, offset=offset, noise_mw=noise_mw)
-        res_fast = find_tag_timing(x, y, tl.nominal_preamble_start,
-                                   32.0, fast=True)
-        res_direct = find_tag_timing(x, y, tl.nominal_preamble_start,
-                                     32.0, fast=False)
-        assert res_fast.offset_samples == res_direct.offset_samples
-        # The returned estimate comes from the reference estimator on
-        # both paths, so downstream decode state is bit-identical.
-        assert np.array_equal(res_fast.estimate.h_fb,
-                              res_direct.estimate.h_fb)
-        assert res_fast.metric == pytest.approx(res_direct.metric,
-                                                rel=1e-9)
+        _assert_timing_matches_oracle(offset, noise_mw, 100 + abs(offset))
+
+    # The default search spans +-2 us = +-40 samples.
+    @settings(deadline=None, max_examples=25)
+    @given(offset=st.integers(-40, 40),
+           noise_mw=st.sampled_from([0.0, 1e-10, 1e-9, 1e-8]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_identical_offset_generated(self, offset, noise_mw, seed):
+        _assert_timing_matches_oracle(offset, noise_mw, seed)
 
     def test_solver_metric_matches_reference(self):
         # The batched solver's (residual_power, gain) must reproduce the
@@ -345,7 +335,7 @@ class TestCodingTables:
     @pytest.mark.parametrize("n", [0, 1, 126, 127, 128, 500])
     def test_scrambler_table_matches_lfsr(self, seed, n):
         assert np.array_equal(scrambler_sequence(n, seed),
-                              _sequence_direct(n, seed))
+                              sequence_direct(n, seed))
 
     def test_scrambler_seed_still_validated(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,9 @@
 * Exchange synthesis against copies of the original per-symbol
   transmitter and bit-serial CRCs (``synthesis_oracle.py``), bit for
   bit; ``complex_normal`` against the two-draw expression it replaces;
-  the two-plane SciPy AR(1) against the numpy reference recursion; the
-  stacked AGC/ADC against the original per-capture quantiser.
+  the two-plane SciPy AR(1) against the numpy reference recursion
+  (``dsp_oracle.py``); the stacked AGC/ADC against the original
+  per-capture quantiser.
 """
 
 import sys
@@ -26,19 +27,14 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import synthesis_oracle
-from repro.channel.hardware import Adc
+from dsp_oracle import ar1_loop
+from repro.channel.hardware import Adc, ar1_filter
 from repro.channel.noise import complex_normal
 from repro.coding.convolutional import CONSTRAINT
 from repro.coding.viterbi import (
     _add_compare_select,
     viterbi_decode_soft,
     viterbi_decode_soft_batch,
-)
-from repro.dsp.backends import (
-    _ar1_numpy,
-    available_backends,
-    get_kernel,
-    use_backend,
 )
 from repro.reader.channel_est import estimate_combined_channel
 from repro.reader.fastpath import BatchPreambleSolver
@@ -256,8 +252,6 @@ def test_complex_normal_out_rejects_foreign_buffers(out):
         complex_normal((4, 3), 1.0, np.random.default_rng(0), out=out)
 
 
-@pytest.mark.skipif("scipy" not in available_backends()["ar1"],
-                    reason="SciPy AR(1) provider not registered")
 @settings(deadline=None, max_examples=40)
 @given(batch=st.one_of(st.just(()), st.tuples(st.integers(1, 4)),
                        st.tuples(st.integers(1, 3), st.integers(1, 3))),
@@ -272,9 +266,8 @@ def test_two_plane_ar1_matches_numpy_reference(batch, n, rho, scalar_prev,
     prev = complex(rng.standard_normal(), rng.standard_normal()) \
         if scalar_prev else (rng.standard_normal(batch)
                              + 1j * rng.standard_normal(batch))
-    with use_backend("scipy", "ar1"):
-        got = get_kernel("ar1")(w, rho, prev)
-    ref = _ar1_numpy(w, rho, prev)
+    got = ar1_filter(w, rho, prev)
+    ref = ar1_loop(w, rho, prev)
     assert got.dtype == ref.dtype and got.shape == ref.shape
     assert got.tobytes() == ref.tobytes()
 

@@ -19,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.channel.environment import Scene
 from repro.link import run_exchange_batch
+from repro.link.session import run_backscatter_session
 from repro.reader.reader import BackFiReader
 from repro.tag.tag import BackFiTag, TagConfig
 from repro.wifi.frames import random_payload
@@ -36,6 +37,13 @@ def _build(n, *, spread=0.4, seed0=300, rng0=9000):
     tags = [BackFiTag(cfg) for _ in range(n)]
     rngs = [np.random.default_rng(rng0 + b) for b in range(n)]
     return scenes, tags, rngs
+
+
+def _scalar_loop(scenes, tags, rngs, **kwargs):
+    """The per-element reference the batch must reproduce."""
+    reader = BackFiReader()
+    return [run_backscatter_session(scene, tag, reader, rng=rng, **kwargs)
+            for scene, tag, rng in zip(scenes, tags, rngs)]
 
 
 def _assert_equivalent(fast, direct):
@@ -61,8 +69,7 @@ class TestEquivalence:
         fast = run_exchange_batch(scenes, tags, BackFiReader(),
                                   psdu=PSDU, rngs=rngs)
         scenes, tags, rngs = _build(6)
-        direct = run_exchange_batch(scenes, tags, BackFiReader(),
-                                    psdu=PSDU, rngs=rngs, batched=False)
+        direct = _scalar_loop(scenes, tags, rngs, psdu=PSDU)
         _assert_equivalent(fast, direct)
         assert sum(r.reader.ok for r in fast) >= 4
 
@@ -71,8 +78,7 @@ class TestEquivalence:
         fast = run_exchange_batch(scenes, tags, BackFiReader(),
                                   psdu=PSDU, rngs=rngs)
         scenes, tags, rngs = _build(1)
-        direct = run_exchange_batch(scenes, tags, BackFiReader(),
-                                    psdu=PSDU, rngs=rngs, batched=False)
+        direct = _scalar_loop(scenes, tags, rngs, psdu=PSDU)
         _assert_equivalent(fast, direct)
 
     def test_empty_batch(self):
@@ -84,7 +90,7 @@ class TestEquivalence:
         # batch path runs -- the whole point of sharing the excitation.
         scenes, tags, rngs = _build(3)
         out = run_exchange_batch(scenes, tags, BackFiReader(),
-                                 psdu=PSDU, rngs=rngs, batched=True)
+                                 psdu=PSDU, rngs=rngs)
         assert all(r.timeline is out[0].timeline for r in out)
 
     def test_fixed_payload_bits_short_circuit_draws(self):
@@ -94,9 +100,8 @@ class TestEquivalence:
                                   psdu=PSDU, rngs=rngs,
                                   payload_bits=bits)
         scenes, tags, rngs = _build(3)
-        direct = run_exchange_batch(scenes, tags, BackFiReader(),
-                                    psdu=PSDU, rngs=rngs,
-                                    payload_bits=bits, batched=False)
+        direct = _scalar_loop(scenes, tags, rngs, psdu=PSDU,
+                              payload_bits=bits)
         _assert_equivalent(fast, direct)
         assert all(np.array_equal(r.payload_bits, bits) for r in fast)
 
@@ -113,7 +118,7 @@ class TestFallbacks:
         for i, t in enumerate(tags):
             t.tag_id = i + 1
         fast = run_exchange_batch(scenes, tags, BackFiReader(),
-                                  psdu=PSDU, rngs=rngs, batched=True)
+                                  psdu=PSDU, rngs=rngs)
         # Per-element timelines prove the scalar loop ran.
         assert fast[0].timeline is not fast[1].timeline
 
@@ -125,7 +130,7 @@ class TestFallbacks:
         collector = TelemetryCollector()
         with use_collector(collector):
             run_exchange_batch(scenes, tags, BackFiReader(),
-                               psdu=PSDU, rngs=rngs, batched=True)
+                               psdu=PSDU, rngs=rngs)
         assert collector.counters.get("link.batch_scalar_fallback") == 1
 
     def test_addressed_tag_id_keeps_batch_shareable(self):
@@ -134,17 +139,5 @@ class TestFallbacks:
             t.tag_id = i + 1
         out = run_exchange_batch(scenes, tags, BackFiReader(),
                                  psdu=PSDU, rngs=rngs,
-                                 addressed_tag_id=2, batched=True)
+                                 addressed_tag_id=2)
         assert all(r.timeline is out[0].timeline for r in out)
-
-    def test_fastpath_disabled_uses_scalar_loop(self):
-        from repro.dsp.fastpath import set_fastpath_enabled
-
-        scenes, tags, rngs = _build(2)
-        prev = set_fastpath_enabled(False)
-        try:
-            out = run_exchange_batch(scenes, tags, BackFiReader(),
-                                     psdu=PSDU, rngs=rngs)
-        finally:
-            set_fastpath_enabled(prev)
-        assert out[0].timeline is not out[1].timeline

@@ -15,6 +15,7 @@ from repro.reader import (
     mrc_combine,
     psk_soft_llrs,
 )
+from repro.reader.channel_est import estimate_combined_channel_group
 from repro.reader.demod import estimate_symbol_noise
 from repro.reader.mrc import MrcOutput
 from repro.tag import TagConfig, tag_preamble_phases
@@ -124,6 +125,8 @@ class TestChannelEstimation:
         tl, x, y, *_ = _make_link(rng)
         with pytest.raises(ValueError, match="before the capture"):
             estimate_combined_channel(x, y, -1, 32.0)
+        with pytest.raises(ValueError, match="before the capture"):
+            estimate_combined_channel_group(x, np.stack([y, y]), -30, 32.0)
 
 
 class TestSync:

@@ -93,12 +93,6 @@ class TestRoundTrip:
         sc = ScenarioConfig.from_dict({"distance_m": 2.0})
         assert sc == ScenarioConfig(distance_m=2.0)
 
-    def test_backend_pin_survives(self):
-        sc = ScenarioConfig(backend="numpy")
-        back = ScenarioConfig.from_dict(sc.to_dict())
-        assert back.backend == "numpy"
-        assert ScenarioConfig.from_dict({}).backend is None
-
 
 class TestHashes:
     def test_every_preset_pinned(self):
@@ -112,13 +106,6 @@ class TestHashes:
         base = ScenarioConfig()
         labelled = base.replace(name="x", description="y")
         assert labelled.scenario_hash() == base.scenario_hash()
-
-    def test_backend_pin_excluded(self):
-        # A kernel-provider pin is an execution detail, not physics:
-        # results are backend-invariant, so the hash must not move.
-        base = ScenarioConfig()
-        pinned = base.replace(backend="numpy")
-        assert pinned.scenario_hash() == base.scenario_hash()
 
     def test_physics_included(self):
         base = ScenarioConfig()

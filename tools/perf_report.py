@@ -82,11 +82,6 @@ def build_report(bench: dict,
                  "tracks this ratio, not absolute times"),
         "kernels": bench.get("kernels", {}),
     }
-    if bench.get("backends"):
-        # Which pluggable kernel backends produced the measurements
-        # (repro.dsp.backends); per-kernel attribution rides along
-        # inside each kernel entry.
-        report["backends"] = bench["backends"]
     if telemetry is not None:
         report["telemetry_spans"] = telemetry
     return report
