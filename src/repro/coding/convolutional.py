@@ -148,15 +148,19 @@ def depuncture(punctured: np.ndarray, rate: str,
 
     ``punctured`` may be hard bits mapped to +-1 or soft LLRs; erased
     positions are filled with ``erasure`` (zero LLR = no information).
+    Leading axes are a stack of streams, depunctured row by row.
     """
     if rate not in _PUNCTURE_PATTERNS:
         raise KeyError(rate)
+    punctured = np.asarray(punctured)
     keep = _keep_mask(rate, n_mother_bits)
-    if np.count_nonzero(keep) != np.asarray(punctured).size:
+    n_punctured = punctured.shape[-1] if punctured.ndim else punctured.size
+    if np.count_nonzero(keep) != n_punctured:
         raise ValueError(
-            f"punctured length {np.asarray(punctured).size} inconsistent "
+            f"punctured length {n_punctured} inconsistent "
             f"with {n_mother_bits} mother bits at rate {rate}"
         )
-    out = np.full(n_mother_bits, erasure, dtype=np.float64)
-    out[keep] = punctured
+    out = np.full(punctured.shape[:-1] + (n_mother_bits,), erasure,
+                  dtype=np.float64)
+    out[..., keep] = punctured
     return out

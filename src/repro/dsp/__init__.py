@@ -20,7 +20,6 @@ from .measurements import (
     residual_power_db,
     symbol_snr_db,
 )
-from .resample import decimate, hold_expand, upsample_interp
 from .spectrum import ascii_spectrum, band_power_mw, psd_db, welch_psd
 
 __all__ = [
@@ -39,9 +38,6 @@ __all__ = [
     "papr_db",
     "residual_power_db",
     "symbol_snr_db",
-    "decimate",
-    "hold_expand",
-    "upsample_interp",
     "ascii_spectrum",
     "band_power_mw",
     "psd_db",

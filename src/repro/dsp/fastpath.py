@@ -33,6 +33,7 @@ __all__ = [
     "FFT_MIN_WORK",
     "fast_convolve",
     "fast_correlate_valid",
+    "pad_stack",
     "stacked_convolve",
     "use_fft",
 ]
@@ -164,6 +165,19 @@ def fast_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return _direct_convolve_batch(x, h)
 
 
+def pad_stack(filters) -> np.ndarray:
+    """Impulse responses stacked to a common tap count.
+
+    Trailing zero taps convolve to exact zeros, so each row of the
+    padded stack convolves like its own filter.
+    """
+    out = np.zeros((len(filters), max(np.size(h) for h in filters)),
+                   dtype=np.complex128)
+    for i, h in enumerate(filters):
+        out[i, : np.size(h)] = h
+    return out
+
+
 _STACKED_GEMM_MAX = 1 << 23
 """Element cap on the shifted-signal matrix the shared-excitation GEMM
 materialises (128 MB of complex128); bigger problems keep the windowed
@@ -188,8 +202,9 @@ def stacked_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     :func:`fast_convolve`'s direct batched form stays the bit-exact
     reference.
 
-    Scalar inputs, empty operands and operands past the FFT crossover
-    delegate to :func:`fast_convolve`.
+    Scalar inputs, empty operands, one-row stacks and operands past the
+    FFT crossover delegate to :func:`fast_convolve` (for one row its
+    direct form is about twice as fast as building a shift matrix).
     """
     x = _as_complex_batch(x, "x")
     h = _as_complex_batch(h, "h")
@@ -198,6 +213,10 @@ def stacked_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     n, m = x.shape[-1], h.shape[-1]
     if n == 0 or m == 0:
         return np.empty(_batch_shape(x, h) + (0,), dtype=np.complex128)
+    if x.size == n and h.size == m:
+        # One row: every leading axis has length 1.
+        out = fast_convolve(x.reshape(-1), h.reshape(-1))
+        return out.reshape((1,) * (max(x.ndim, h.ndim) - 1) + out.shape)
     if n < m:
         x, h = h, x
         n, m = m, n

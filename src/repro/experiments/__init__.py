@@ -24,7 +24,6 @@ EXPERIMENT_MODULES = (
     "alt_excitation",
     "mobility",
     "robustness_sweep",
-    "streaming_load",
 )
 
 __all__ = [

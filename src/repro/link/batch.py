@@ -6,8 +6,8 @@ packet (and therefore the excitation waveform, protocol timeline and PA
 output) is identical across elements, only the channels, tag payloads
 and noise differ.  The per-trial path re-synthesizes that shared
 excitation for every element -- ``build_ap_transmission`` alone costs
-more than the whole decode fast path -- and then re-factorises the
-excitation-side linear algebra inside each ``reader.decode``.
+more than the whole decode -- and then decodes each capture as a stack
+of one.
 
 :func:`run_exchange_batch` is the batched equivalent of
 
@@ -19,8 +19,10 @@ excitation-side linear algebra inside each ``reader.decode``.
 
 with the AP transmission built once, the channel convolutions applied
 to the whole stack through
-:func:`~repro.dsp.fastpath.stacked_convolve`, and the decode running
-through :class:`~repro.reader.batch.BatchedDecoder`.
+:func:`~repro.dsp.fastpath.stacked_convolve`, and the whole stack
+decoded by :class:`~repro.reader.batch.BatchedDecoder` -- the same reader
+pipeline ``reader.decode`` runs on a stack of one, so the excitation-side
+factorisations are shared by the stack.
 
 Equivalence contract (asserted by ``tests/test_link_batch.py``): decoded
 bits, ``ok`` flags and payloads match the scalar loop exactly; float
@@ -62,28 +64,13 @@ from ..constants import (
     SAMPLES_PER_US,
     TAG_PREAMBLE_US,
 )
-from ..dsp.fastpath import stacked_convolve
+from ..dsp.fastpath import pad_stack, stacked_convolve
 from ..tag.tag import BackFiTag
 from ..telemetry import get_collector
 from .protocol import build_ap_transmission
 from .session import SessionResult, run_backscatter_session
 
 __all__ = ["run_exchange_batch"]
-
-
-def _pad_stack(channels: list[np.ndarray]) -> np.ndarray:
-    """Impulse responses stacked to a common tap count.
-
-    Trailing zero taps convolve to nothing, so the padded stack's
-    batched convolution equals each channel's scalar convolution up to
-    summation order (``stacked_convolve`` accumulates tap-major; the
-    extra zero taps contribute exact zeros).
-    """
-    taps = max(h.size for h in channels)
-    out = np.zeros((len(channels), taps), dtype=np.complex128)
-    for i, h in enumerate(channels):
-        out[i, : h.size] = np.asarray(h, dtype=np.complex128)
-    return out
 
 
 def run_exchange_batch(
@@ -180,7 +167,7 @@ def run_exchange_batch(
     def conv(h_stack: np.ndarray, sig: np.ndarray) -> np.ndarray:
         return stacked_convolve(sig, h_stack)[..., :n_samp]
 
-    z_tag = conv(_pad_stack([s.h_f for s in scenes]), x_pa)
+    z_tag = conv(pad_stack([s.h_f for s in scenes]), x_pa)
     plans = []
     reflections = np.empty((n, n_samp), dtype=np.complex128)
     for b in range(n):
@@ -189,8 +176,8 @@ def run_exchange_batch(
                                    wake_index=timeline.wifi_start)
         plans.append(plan)
         reflections[b] = plan.reflection
-    si = conv(_pad_stack([s.h_env for s in scenes]), x_pa)
-    backscatter = conv(_pad_stack([s.h_b for s in scenes]),
+    si = conv(pad_stack([s.h_env for s in scenes]), x_pa)
+    backscatter = conv(pad_stack([s.h_b for s in scenes]),
                        z_tag * reflections)
 
     # --- impairments and noise (per-element draws, scalar order) -------

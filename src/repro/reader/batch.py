@@ -1,84 +1,74 @@
-"""Batched decode of many backscatter exchanges against one excitation.
+"""The BackFi reader pipeline (paper Fig. 5) over a leading batch axis.
 
-A dense BackFi deployment decodes the same excitation against many
-received signals (one per responding tag placement): the AP transmits
-once, and every exchange in the round shares ``timeline.samples``.  The
-per-exchange pipeline (:meth:`BackFiReader.decode`) then repeats a lot
-of excitation-only work per element -- the digital canceller's Gram
-matrix, the sync sweep's Gram tables and factorisations, the Viterbi
-trellis' per-step Python dispatch.
+There is one decode pipeline and it runs on a stack of captures of one
+AP transmission (shared excitation; per-row receive signal,
+self-interference channel and analog-canceller generator).
+``BackFiReader.decode`` is the pipeline on a stack of one,
+:class:`BatchedDecoder` runs it on a whole stack, and
+``StreamingDecoder.finish`` enters it at the frame barrier with its own
+cancellation result.
 
-:class:`BatchedDecoder` runs the identical pipeline once over a whole
-stack of exchanges:
+:func:`decode_pass` runs each stage once over the stack: cancellation
+(:meth:`SelfInterferenceCanceller.cancel`), the timing search
+(:func:`search_timing`), then per group of rows sharing a winning
+preamble start (one group in the common case) the combined-channel
+estimate, maximal-ratio combining over the payload span, optional
+phase tracking and :func:`decode_symbol_rows`.  :func:`decode_stack`
+adds the recovery ladder, re-running only the failing rows, grouped by
+escalation state; each row's generator simply continues, so a row draws
+exactly what it would in a stack of one.
 
-* analog cancellation keeps the per-element error draws (each element's
-  generator stream is untouched), but everything downstream shares the
-  excitation-side factorisations;
-* digital cancellation trains all elements through **one** convolution
-  matrix / Gram factorisation and a multi-RHS solve;
-* the fine-timing sweep scores the full candidate grid for every
-  element through :class:`~repro.reader.fastpath.BatchPreambleSolver`
-  -- the solver the scalar search runs on a stack of one, its Gram
-  tables and factorisations shared by the batch -- then runs the
-  scalar search's selection walk
-  (:func:`~repro.reader.sync.replay_offset_selection`) per element on
-  the precomputed metric table;
-* the reference channel estimate, MRC, soft demap and Viterbi decode
-  run batched, grouped by winning preamble start (one group in the
-  common case); the Viterbi kernel is the one the scalar decoder runs
-  on a stack of one.
-
-Equivalence contract: every element's result matches a standalone
-``reader.decode`` call to float64 rounding -- decoded bits and ok flags
-exactly, float diagnostics to rtol ``1e-10`` (the only differences come
-from BLAS summation-order changes around 1e-15).  Elements whose first
-pass fails a recoverable failure fall back to the per-exchange recovery
-ladder with their generator rewound, so even the escalation path is
-byte-identical to the loop.  ``tests/test_batch_decode.py`` asserts the
-contract over a 100-exchange snapshot.
+Contract (``tests/test_batch_decode.py``): every row decodes as its
+stack of one -- bits, ``ok``, failure kind and recovery attempts
+exactly, float diagnostics to rtol ``1e-10`` (stacks of different sizes
+differ only in BLAS summation order).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, replace
+
 import numpy as np
 
-from ..coding.convolutional import CONSTRAINT, _keep_mask
+from ..channel.noise import noise_power_mw
+from ..coding.convolutional import CONSTRAINT, depuncture
 from ..coding.viterbi import viterbi_decode_soft_batch
 from ..constants import SAMPLES_PER_US
-from ..dsp.fastpath import fast_convolve, stacked_convolve
-from ..dsp.measurements import residual_power_db
+from ..dsp.fastpath import stacked_convolve  # noqa: F401
 from ..link.frames import parse_frame_bits
 from ..link.protocol import ApTimeline
-from ..telemetry import get_collector
-from .cancellation import CancellationResult, ls_channel_estimate
-from .channel_est import ChannelEstimate, estimate_combined_channel_group
+from ..tag.config import TagConfig
+from ..telemetry import get_collector, probe_rows
+from .cancellation import (  # noqa: F401
+    CancellationResult,
+    SelfInterferenceCanceller,
+    ls_channel_estimate,
+)
+from .channel_est import estimate_combined_channel_group, probe_estimates
 from .decoder import TagDecodeOutput
-from .demod import psk_soft_llrs
+from .demod import estimate_symbol_noise, psk_soft_llrs
 from .failures import FailureKind, ReaderFailure
 from .fastpath import BatchPreambleSolver
-from .mrc import MrcOutput, _mrc_combine
-from .reader import BackFiReader, ReaderResult
+from .mrc import MrcOutput, _mrc_combine, payload_template, probe_mrc
+from .reader import RESIDUAL_FLOOR_RISE_DB, BackFiReader, ReaderResult
 from .sync import (
+    OffsetScores,
     candidate_window,
     replay_offset_selection,
-    timing_prior,
     winning_sync,
 )
+from .tracking import phase_track
 
-__all__ = ["BatchedDecoder"]
+# perfbench's per-stage tracer wraps names where this module binds them;
+# ``stacked_convolve`` and ``ls_channel_estimate`` stay bound for it (it
+# times their work, inside the cancellation chain, as reader.cancel).
 
-
-def _rng_state(rng: np.random.Generator | None):
-    return None if rng is None else rng.bit_generator.state
-
-
-def _restore_rng(rng: np.random.Generator | None, state) -> None:
-    if rng is not None and state is not None:
-        rng.bit_generator.state = state
+__all__ = ["BatchedDecoder", "decode_pass", "decode_stack",
+           "decode_symbol_rows", "search_timing"]
 
 
 class BatchedDecoder:
-    """Vectorised many-exchange decode sharing one reader's pipeline."""
+    """The reader pipeline on a stack of exchanges of one transmission."""
 
     def __init__(self, reader: BackFiReader):
         self.reader = reader
@@ -96,291 +86,301 @@ class BatchedDecoder:
         per-element self-interference channels, ``rngs`` the
         per-element generators the analog canceller draws its
         component-precision error from (``None`` entries use the
-        deterministic default seed, exactly like the scalar path).
+        deterministic default seed, exactly like a stack of one).
         """
-        reader = self.reader
-        x = timeline.samples if pa_output is None else \
-            np.asarray(pa_output, dtype=np.complex128)
-        rx = np.asarray(rx_batch, dtype=np.complex128)
-        if rx.ndim != 2 or rx.shape[1] != x.size:
-            raise ValueError("rx_batch must be (n_batch, len(samples))")
-        n_batch = rx.shape[0]
-        h_env = [np.asarray(h) for h in h_env_batch]
-        if len(h_env) != n_batch:
-            raise ValueError("one h_env per batch element required")
-        if rngs is None:
-            rngs = [None] * n_batch
-        if len(rngs) != n_batch:
-            raise ValueError("one rng per batch element required")
-
         tm = get_collector()
         with tm.span("reader.decode_batch") as sp:
-            if reader.track_phase:
-                # Decision-directed tracking is sequential per symbol;
-                # the batch API degrades to the per-exchange loop.
-                results = [
-                    reader.decode(timeline, rx[b], h_env[b],
-                                  pa_output=pa_output, rng=rngs[b])
-                    for b in range(n_batch)
-                ]
-                if tm.enabled:
-                    sp.probe("n_batch", n_batch)
-                    sp.probe("vectorized", False)
-                return results
-
-            states = [_rng_state(r) for r in rngs]
-            results = self._decode_batch_single_pass(
-                timeline, x, rx, h_env, rngs)
-            # Recoverable first-pass failures re-enter the per-exchange
-            # escalation ladder with the generator rewound, replaying
-            # the (failing) first pass so the stream consumption -- and
-            # therefore every later draw -- matches the scalar path.
-            n_fallback = 0
-            for b, res in enumerate(results):
-                if (reader.recovery and not res.ok
-                        and res.failure is not None
-                        and res.failure.recoverable):
-                    _restore_rng(rngs[b], states[b])
-                    results[b] = reader._decode_with_recovery(
-                        timeline, rx[b], h_env[b],
-                        pa_output=pa_output, rng=rngs[b])
-                    n_fallback += 1
+            results = decode_stack(self.reader, timeline, rx_batch,
+                                   h_env_batch, pa_output=pa_output,
+                                   rngs=rngs)
+            sp.probe("n_batch", len(results))
             if tm.enabled:
-                sp.probe("n_batch", n_batch)
-                sp.probe("vectorized", True)
-                sp.probe("n_ok", sum(1 for r in results if r.ok))
-                sp.probe("n_fallback", n_fallback)
+                sp.probe("n_ok", sum(r.ok for r in results))
+                sp.probe("n_escalated",
+                         sum(bool(r.recovery_attempts) for r in results))
             return results
 
-    # -- single pass ---------------------------------------------------
 
-    def _decode_batch_single_pass(self, timeline: ApTimeline,
-                                  x: np.ndarray, rx: np.ndarray,
-                                  h_env: list[np.ndarray],
-                                  rngs) -> list[ReaderResult]:
-        reader = self.reader
-        canceller = reader.canceller
-        n_batch, n = rx.shape
-        silent = reader.silent_rows(timeline)
+@dataclass
+class _Escalation:
+    """One row's place on the recovery ladder."""
 
-        # 1. self-interference cancellation (per-element analog error
-        # draws, shared digital Gram).  The board-tap draws happen per
-        # element in generator order; the excitation convolution then
-        # runs once for the whole tap stack (trailing zero-padding of
-        # shorter tap vectors convolves to exact zeros).
-        if canceller.analog_enabled:
-            taps = [canceller.analog.tuned_taps(h_env[b], rng=rngs[b])
-                    for b in range(n_batch)]
-            width = max(t.size for t in taps)
-            tap_stack = np.zeros((n_batch, width), dtype=np.complex128)
-            for b, t in enumerate(taps):
-                tap_stack[b, : t.size] = t
-            after_analog = rx - stacked_convolve(x, tap_stack)[..., :n]
-        else:
-            after_analog = rx.copy()
-        analog_db = [
-            residual_power_db(rx[b, silent], after_analog[b, silent])
-            for b in range(n_batch)
-        ]
+    search_us: float
+    canceller: SelfInterferenceCanceller
+    attempts: list[str] = field(default_factory=list)
+    tried: set[FailureKind] = field(default_factory=set)
 
-        quantized, saturated = canceller.adc.agc_quantize(after_analog)
+    def climb(self, kind: FailureKind, widen: float) -> None:
+        self.tried.add(kind)
+        if kind is FailureKind.SYNC:
+            self.search_us *= widen
+            self.attempts.append(
+                f"sync: widened search window to {self.search_us:g} us")
+        else:  # RESIDUAL_FLOOR and SATURATION share one deepen action
+            self.canceller = self.canceller.deepen()
+            self.attempts.append(
+                "cancellation: re-ran with "
+                f"{self.canceller.digital.n_taps} digital taps")
+            self.tried.update({FailureKind.RESIDUAL_FLOOR,
+                               FailureKind.SATURATION})
 
-        split = (3 * silent.size) // 4
-        train_rows = silent[:split]
-        eval_rows = silent[split:]
-        if canceller.digital_enabled:
-            cleaned = self._digital_cancel_batch(
-                x, quantized, canceller.digital, train_rows)
-        else:
-            cleaned = quantized
-        cancs = [
-            CancellationResult(
-                cleaned=cleaned[b],
-                analog_residual_db=analog_db[b],
-                digital_residual_db=residual_power_db(
-                    quantized[b, eval_rows], cleaned[b, eval_rows]),
-                total_depth_db=residual_power_db(
-                    rx[b, eval_rows], cleaned[b, eval_rows]),
-                adc_saturated=bool(saturated[b]),
-            )
-            for b in range(n_batch)
-        ]
-        held_out = silent[(3 * silent.size) // 4:]
-        noise_floor = np.mean(np.abs(cleaned[:, held_out]) ** 2, axis=1)
 
-        # 2. fine timing: score the candidate grid for every element at
-        # once, then run the scalar selection walk on the metric table.
-        results: list[ReaderResult | None] = [None] * n_batch
-        search = int(reader.sync_search_us * SAMPLES_PER_US)
-        n_taps = reader.n_channel_taps
-        nominal = timeline.nominal_preamble_start
-        lo, hi = window = candidate_window(nominal, search, n_taps)
-        solver = BatchPreambleSolver(
-            x, cleaned, timeline.preamble_us, n_taps=n_taps,
-            preamble_seed=reader.preamble_seed, start_window=window)
-        # Every offset the walk can visit (it never reaches lo itself).
-        grid = np.arange(lo + 1, hi + 1) - nominal
-        feasible, resid_p, gain = solver.evaluate(nominal + grid)
-        with np.errstate(invalid="ignore"):
-            metric = resid_p / gain * timing_prior(grid)[None, :]
+def decode_stack(reader: BackFiReader, timeline: ApTimeline,
+                 rx: np.ndarray, h_env, *,
+                 pa_output: np.ndarray | None = None, rngs=None,
+                 cancellation: CancellationResult | None = None
+                 ) -> list[ReaderResult]:
+    """Decode a stack of captures, escalating recoverable failures.
 
-        grid0 = int(grid[0])
+    ``rx`` is ``(n_rows, len(timeline.samples))``; ``h_env`` and
+    ``rngs`` hold one entry per row.  With ``reader.recovery`` on, a row
+    whose pass failed recoverably climbs the ladder: a ``SYNC`` failure
+    widens the timing search window, a ``RESIDUAL_FLOOR`` or
+    ``SATURATION`` failure re-runs the chain with the digital canceller
+    at doubled depth.  Escalations compose and each runs at most once,
+    so a row costs at most three passes.  ``cancellation`` supplies the
+    first pass's cancellation result; escalated passes re-run the chain.
+    """
+    x = timeline.samples if pa_output is None else \
+        np.asarray(pa_output, dtype=np.complex128)
+    rx = np.asarray(rx, dtype=np.complex128)
+    if rx.ndim != 2 or rx.shape[1] != x.size:
+        raise ValueError("rx must be (n_rows, len(samples)), aligned with "
+                         "the transmitted waveform")
+    n_rows = rx.shape[0]
+    h_env = list(h_env)
+    rngs = [None] * n_rows if rngs is None else list(rngs)
+    if len(h_env) != n_rows or len(rngs) != n_rows:
+        raise ValueError("one h_env and one rng per row required")
+    if n_rows == 0:
+        return []
 
-        def table_score(b: int):
-            feas, met = feasible[b], metric[b]
-
-            def score(offsets: list[int]) -> list[float | None]:
-                return [float(met[off - grid0]) if feas[off - grid0]
-                        else None for off in offsets]
-            return score
-
-        groups: dict[int, list[int]] = {}
-        for b in range(n_batch):
-            best = replay_offset_selection(table_score(b), search, n_taps)
-            if best is None:
-                results[b] = ReaderResult(
-                    ok=False, cancellation=cancs[b],
-                    noise_floor_mw=float(noise_floor[b]),
-                    failure=ReaderFailure(
-                        FailureKind.SYNC,
-                        "no feasible timing offset found"),
-                )
-            else:
-                groups.setdefault(best[1], []).append(b)
-
-        # 3.-4. per winning offset: reference estimate, MRC, decode.
-        sps = reader.tag_config.samples_per_symbol
-        for off, idxs in groups.items():
-            start = nominal + off
-            ests = estimate_combined_channel_group(
-                x, cleaned[np.asarray(idxs)], start, timeline.preamble_us,
-                n_taps=n_taps, preamble_seed=reader.preamble_seed)
-            syncs = [winning_sync(nominal, off, est) for est in ests]
-            data_start = start + int(timeline.preamble_us
-                                     * SAMPLES_PER_US)
-            n_symbols = (timeline.wifi_end - data_start) // sps
-            if n_symbols < 1:
-                for j, b in enumerate(idxs):
-                    results[b] = ReaderResult(
-                        ok=False, cancellation=cancs[b], sync=syncs[j],
-                        channel=ests[j],
-                        noise_floor_mw=float(noise_floor[b]),
-                        failure=ReaderFailure(
-                            FailureKind.NO_CAPACITY,
-                            "no room for payload symbols"),
-                    )
+    results = decode_pass(reader, timeline, x, rx, h_env, rngs,
+                          canceller=reader.canceller,
+                          search_us=reader.sync_search_us,
+                          cancellation=cancellation)
+    ladder: dict[int, _Escalation] = {}
+    pending = range(n_rows)
+    while reader.recovery and pending:
+        groups: dict[tuple[float, int], list[int]] = {}
+        for b in pending:
+            failure = results[b].failure
+            if failure is None or not failure.recoverable:
                 continue
-            mrcs = self._mrc_group(x, cleaned, idxs, ests, data_start,
-                                   sps, int(n_symbols), noise_floor)
-            decodes = self._decode_group(mrcs)
-            for j, b in enumerate(idxs):
-                decode = decodes[j]
-                ok = decode.ok
-                failure = None
-                if not ok:
-                    failure = BackFiReader._classify_crc_failure(
-                        cancs[b], float(noise_floor[b]))
-                results[b] = ReaderResult(
-                    ok=ok,
-                    payload_bits=decode.payload_bits,
-                    n_symbols=int(n_symbols),
-                    symbol_snr_db=mrcs[j].mean_snr_db(),
-                    noise_floor_mw=float(noise_floor[b]),
-                    cancellation=cancs[b],
-                    sync=syncs[j],
-                    channel=ests[j],
-                    mrc=mrcs[j],
-                    decode=decode,
-                    failure=failure,
-                )
-        return results
+            state = ladder.setdefault(b, _Escalation(reader.sync_search_us,
+                                                     reader.canceller))
+            if failure.kind not in state.tried:
+                state.climb(failure.kind, reader.sync_widen_factor)
+                groups.setdefault((state.search_us,
+                                   state.canceller.digital.n_taps),
+                                  []).append(b)
+        for rows in groups.values():
+            rerun = decode_pass(reader, timeline, x, rx[rows],
+                                [h_env[b] for b in rows],
+                                [rngs[b] for b in rows],
+                                canceller=ladder[rows[0]].canceller,
+                                search_us=ladder[rows[0]].search_us)
+            for b, result in zip(rows, rerun):
+                results[b] = result
+        pending = [b for rows in groups.values() for b in rows]
+    for b, state in ladder.items():
+        results[b] = replace(results[b],
+                             recovery_attempts=tuple(state.attempts),
+                             recovered=results[b].ok)
+    return results
 
-    # -- stage helpers -------------------------------------------------
 
-    @staticmethod
-    def _digital_cancel_batch(x: np.ndarray, quantized: np.ndarray,
-                              digital, train_rows: np.ndarray
-                              ) -> np.ndarray:
-        """All elements' digital cancellation off one Gram factorisation.
+def decode_pass(reader: BackFiReader, timeline: ApTimeline,
+                x: np.ndarray, rx: np.ndarray, h_env: list, rngs: list, *,
+                canceller: SelfInterferenceCanceller, search_us: float,
+                center: int | None = None,
+                cancellation: CancellationResult | None = None
+                ) -> list[ReaderResult]:
+    """One pass of the pipeline over the stack ``rx`` (no recovery).
 
-        Mirrors ``DigitalCanceller.cancel`` per element by calling
-        :func:`ls_channel_estimate` with the quantized captures stacked
-        as multi-RHS columns: the normal-equation solve, the ridge and
-        the singular-Gram SVD fallback are the scalar path's own code,
-        so every element's taps match its scalar fit to float64 rounding
-        while the design matrix is factored exactly once.
-        """
-        n = quantized.shape[1]
-        h_all = ls_channel_estimate(x, quantized, digital.n_taps,
-                                    rows=train_rows)
-        return quantized - stacked_convolve(x, h_all)[..., :n]
+    ``x`` is the waveform the canceller taps.  ``cancellation``
+    supplies the stack's cancellation result instead of running
+    ``canceller``; ``center`` recentres the timing search away from the
+    nominal preamble start (a warm session's previous offset).
+    """
+    silent = reader.silent_rows(timeline)
+    canc = cancellation if cancellation is not None else \
+        canceller.cancel(x, rx, h_env, silent, rng=rngs)
+    cleaned = canc.cleaned
+    n_rows = cleaned.shape[0]
+    # The effective noise floor, on the part of the silent period the
+    # digital canceller did not train on (last quarter).
+    floors = np.mean(np.abs(cleaned[:, silent[(3 * silent.size) // 4:]])
+                     ** 2, axis=-1)
+    cancs = [canc.row(b) for b in range(n_rows)]
+    results: list[ReaderResult | None] = [None] * n_rows
 
-    def _mrc_group(self, x: np.ndarray, cleaned: np.ndarray,
-                   idxs: list[int], ests: list[ChannelEstimate],
-                   data_start: int, sps: int, n_symbols: int,
-                   noise_floor: np.ndarray) -> list[MrcOutput]:
-        guard = min(6, max(sps // 2, 1), sps - 1)
-        span0 = data_start
-        span1 = data_start + n_symbols * sps
-        n_taps = ests[0].h_fb.size
-        # Template on the payload span only, one GEMM for the group:
-        # T[j, i] = sum_k h[j, k] x[span0 + i - k].
-        xs = np.empty((n_taps, span1 - span0), dtype=np.complex128)
-        for k in range(n_taps):
-            xs[k] = x[span0 - k: span1 - k]
-        h_mat = np.stack([est.h_fb for est in ests], axis=0)
-        template = h_mat @ xs                            # (n_group, span)
+    def fail(b: int, kind: FailureKind, detail: str, **kwargs) -> None:
+        results[b] = ReaderResult(
+            ok=False, cancellation=cancs[b], noise_floor_mw=float(floors[b]),
+            failure=ReaderFailure(kind, detail), **kwargs)
 
-        floors = np.asarray([float(noise_floor[b]) for b in idxs])
-        if np.all(floors > 0):
-            # One batched combine over the payload span (the span-only
-            # template is already aligned, so data_start becomes 0).
-            out = _mrc_combine(
-                cleaned[np.asarray(idxs), span0:span1], template, 0, sps,
-                n_symbols, guard=guard, noise_floor=floors)
-            return [
-                MrcOutput(symbols=out.symbols[j],
-                          noise_var=out.noise_var[j],
-                          template_energy=out.template_energy[j])
-                for j in range(len(idxs))
-            ]
-        # Zero measured floor somewhere: the scalar path infers the
-        # noise from post-combine residuals; run it verbatim per element.
-        outs = []
+    if center is None:
+        center = timeline.nominal_preamble_start
+    n_taps = reader.n_channel_taps
+    groups: dict[int, list[int]] = {}
+    for b, best in enumerate(search_timing(
+            x, cleaned, center, timeline.preamble_us, search_us=search_us,
+            n_taps=n_taps, preamble_seed=reader.preamble_seed)):
+        if best is None:
+            fail(b, FailureKind.SYNC, "no feasible timing offset found")
+        else:
+            groups.setdefault(best[1], []).append(b)
+
+    tm = get_collector()
+    cfg = reader.tag_config
+    sps = cfg.samples_per_symbol
+    # Guard only the channel's actual delay spread (the ISI region at
+    # each phase switch), not the full estimation-filter length -- at
+    # 2.5 Msym/s a symbol is only 8 samples long.
+    guard = min(6, max(sps // 2, 1), sps - 1)
+    for off, idxs in groups.items():
+        start = center + off
+        group = idxs if len(idxs) < n_rows else slice(None)
+        with tm.span("channel_est") as sp:
+            ests = estimate_combined_channel_group(
+                x, cleaned[group], start, timeline.preamble_us,
+                n_taps=n_taps, preamble_seed=reader.preamble_seed)
+            if tm.enabled:
+                probe_estimates(sp, ests, x, start, timeline.preamble_us,
+                                n_taps=n_taps)
+        syncs = [winning_sync(center, off, est) for est in ests]
+        data_start = start + int(timeline.preamble_us * SAMPLES_PER_US)
+        n_symbols = int((timeline.wifi_end - data_start) // sps)
+        if n_symbols < 1:
+            for b, sync in zip(idxs, syncs):
+                fail(b, FailureKind.NO_CAPACITY, "no room for payload symbols",
+                     sync=sync, channel=sync.estimate)
+            continue
+        stop = data_start + n_symbols * sps
+        with tm.span("mrc") as sp:
+            template = payload_template(
+                x, np.stack([est.h_fb for est in ests]), data_start, stop)
+            mrc = _mrc_combine(cleaned[group, data_start:stop], template,
+                               0, sps, n_symbols, guard=guard,
+                               noise_floor=floors[group])
+            if tm.enabled:
+                probe_mrc(sp, mrc, sps, guard)
+        symbols = mrc.symbols
+        if reader.track_phase:
+            symbols = np.stack([phase_track(row, cfg.modulation).symbols
+                                for row in symbols])
+        decodes = decode_symbol_rows(symbols, mrc.noise_var, cfg)
         for j, b in enumerate(idxs):
-            full_template = fast_convolve(
-                x, ests[j].h_fb)[: cleaned.shape[1]]
-            outs.append(_mrc_combine(
-                cleaned[b], full_template, data_start, sps,
-                n_symbols, guard=guard, noise_floor=float(noise_floor[b])))
+            row_mrc = MrcOutput(symbols=mrc.symbols[j],
+                                noise_var=mrc.noise_var[j],
+                                template_energy=mrc.template_energy[j])
+            results[b] = ReaderResult(
+                ok=decodes[j].ok, payload_bits=decodes[j].payload_bits,
+                n_symbols=n_symbols, symbol_snr_db=row_mrc.mean_snr_db(),
+                noise_floor_mw=float(floors[b]), cancellation=cancs[b],
+                sync=syncs[j], channel=ests[j], mrc=row_mrc,
+                decode=decodes[j], failure=None if decodes[j].ok else
+                _classify_crc_failure(cancs[b], float(floors[b])))
+    return results
+
+
+def search_timing(x: np.ndarray, cleaned: np.ndarray, center: int,
+                  preamble_us: float, *, search_us: float, n_taps: int,
+                  preamble_seed: int) -> list[tuple[float, int] | None]:
+    """The timing stage: each row's ``(metric, offset)`` or ``None``.
+
+    One :class:`BatchPreambleSolver` covers the stack's candidate window
+    around ``center``; each row runs the selection walk, and the walks
+    share one lazily filled metric table (:class:`OffsetScores`).
+    """
+    search = int(search_us * SAMPLES_PER_US)
+    tm = get_collector()
+    with tm.span("sync") as sp:
+        solver = BatchPreambleSolver(
+            x, cleaned, preamble_us, n_taps=n_taps,
+            preamble_seed=preamble_seed,
+            start_window=candidate_window(center, search, n_taps))
+        scores = OffsetScores(solver, center)
+        bests = [replay_offset_selection(scores.row(b), search, n_taps)
+                 for b in range(cleaned.shape[0])]
+        found = [best for best in bests if best is not None]
+        if tm.enabled and found:
+            probe_rows(sp, "offset_samples", [off for _, off in found])
+            probe_rows(sp, "metric", [m for m, _ in found])
+        sp.probe("candidates", scores.n_evaluated)
+        sp.probe("search_samples", 2 * search + 1)
+    return bests
+
+
+def decode_symbol_rows(symbols: np.ndarray, noise_var: np.ndarray,
+                       config: TagConfig) -> list[TagDecodeOutput]:
+    """Soft-demap, Viterbi-decode and parse a stack of MRC symbol rows.
+
+    ``symbols`` is ``(n_rows, n_symbols)`` (``noise_var`` broadcasts to
+    it); each row decodes exactly as a stack of one would.
+    """
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    tm = get_collector()
+    with tm.span("decode") as sp:
+        llrs = psk_soft_llrs(symbols, config.modulation, noise_var)
+        length = llrs.shape[-1]
+        if config.code_rate == "1/2":
+            mother = llrs[:, : length - length % 2]
+        else:
+            # The tag padded coded bits up to a whole symbol; trim the
+            # coded stream to the largest length consistent with the
+            # puncturing pattern (3 coded bits per 4 mother bits).
+            n_coded = length - length % 3
+            mother = depuncture(llrs[:, :n_coded], config.code_rate,
+                                n_coded // 3 * 4)
+        if mother.shape[-1] < 2 * CONSTRAINT:
+            return [TagDecodeOutput(frame=None, llrs=row,
+                                    decoded_bits=np.empty(0, dtype=np.uint8))
+                    for row in llrs]
+        decoded, path_metric = viterbi_decode_soft_batch(
+            mother, terminated=False, return_metric=True)
+        outs = [TagDecodeOutput(frame=parse_frame_bits(bits),
+                                decoded_bits=bits, llrs=row)
+                for bits, row in zip(decoded, llrs)]
+        if tm.enabled:
+            abs_sum = np.sum(np.abs(mother), axis=-1)
+            probe_rows(sp, "path_metric", path_metric)
+            probe_rows(sp, "viterbi_agreement", np.where(
+                abs_sum > 0, path_metric / np.maximum(abs_sum, 1e-300), 0.0))
+            probe_rows(sp, "mean_abs_llr", np.mean(np.abs(llrs), axis=-1))
+            # Post-MRC EVM: RMS slicer error over RMS symbol magnitude
+            # (the per-symbol constellation quality GuardRider-style
+            # field debugging wants alongside SNR).
+            power = np.mean(np.abs(symbols) ** 2, axis=-1)
+            evm = [np.sqrt(estimate_symbol_noise(row, config.modulation)
+                           / p) for row, p in zip(symbols, power) if p > 0]
+            if evm:
+                probe_rows(sp, "evm_rms", evm)
+            probe_rows(sp, "frame_ok", [out.ok for out in outs])
+            probe_rows(sp, "n_payload_bits",
+                       [out.payload_bits.size for out in outs])
         return outs
 
-    def _decode_group(self, mrcs: list[MrcOutput]) -> list[TagDecodeOutput]:
-        cfg = self.reader.tag_config
-        symbols = np.stack([m.symbols for m in mrcs], axis=0)
-        noise_var = np.stack([m.noise_var for m in mrcs], axis=0)
-        llrs = psk_soft_llrs(symbols, cfg.modulation, noise_var)
-        length = llrs.shape[1]
-        if cfg.code_rate == "1/2":
-            mother = llrs[:, : length - (length % 2)]
-        else:
-            n_coded = length - (length % 3)
-            n_mother = n_coded // 3 * 4
-            keep = _keep_mask(cfg.code_rate, n_mother)
-            mother = np.zeros((len(mrcs), n_mother))
-            mother[:, keep] = llrs[:, :n_coded]
-        if mother.shape[1] < 2 * CONSTRAINT:
-            return [
-                TagDecodeOutput(frame=None,
-                                decoded_bits=np.empty(0, dtype=np.uint8),
-                                llrs=llrs[j])
-                for j in range(len(mrcs))
-            ]
-        decoded = viterbi_decode_soft_batch(mother, terminated=False)
-        return [
-            TagDecodeOutput(frame=parse_frame_bits(decoded[j]),
-                            decoded_bits=decoded[j], llrs=llrs[j])
-            for j in range(len(mrcs))
-        ]
 
+def _classify_crc_failure(canc: CancellationResult,
+                         noise_floor_mw: float) -> ReaderFailure:
+    """Blame a CRC failure on the most anomalous upstream symptom.
 
+    An ADC driven past full scale or a noise floor far above thermal
+    points at the cancellation chain (recoverable by deepening the
+    digital canceller); otherwise the frame simply did not have the SNR,
+    and only the link layer can help.
+    """
+    if canc.adc_saturated:
+        return ReaderFailure(FailureKind.SATURATION,
+                             "frame CRC failed with ADC at full scale")
+    thermal = noise_power_mw()
+    if noise_floor_mw > 0 and thermal > 0:
+        rise_db = 10.0 * float(np.log10(noise_floor_mw / thermal))
+        if rise_db > RESIDUAL_FLOOR_RISE_DB:
+            return ReaderFailure(
+                FailureKind.RESIDUAL_FLOOR,
+                f"frame CRC failed with noise floor {rise_db:.1f} dB "
+                "above thermal")
+    return ReaderFailure(FailureKind.CRC, "frame CRC failed")

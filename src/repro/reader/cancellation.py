@@ -27,9 +27,9 @@ import numpy as np
 
 from ..channel.hardware import Adc
 from ..channel.noise import noise_power_mw
-from ..dsp.fastpath import fast_convolve
+from ..dsp.fastpath import pad_stack, stacked_convolve
 from ..dsp.measurements import residual_power_db
-from ..telemetry import get_collector
+from ..telemetry import NullCollector, get_collector, probe_rows
 from ..utils.conversions import db_to_linear
 
 __all__ = [
@@ -200,24 +200,6 @@ class AnalogCanceller:
     depth_db: float = 60.0
     n_taps: int = 16
 
-    def reconstruction(self, x: np.ndarray, h_env: np.ndarray, n_out: int,
-                       rng: np.random.Generator | None = None) -> np.ndarray:
-        """The canceller board's reconstruction of ``x * h_env``.
-
-        Drawing the component-precision error and convolving the full
-        excitation happens here, once; subtracting it from the receive
-        signal is a separate (chunkable) step, which is what lets the
-        streaming decoder cancel sample blocks as they arrive while
-        staying bit-identical to the one-shot path.
-
-        When ``rng`` is omitted the component-precision error is drawn
-        from a generator seeded with :data:`DEFAULT_ANALOG_RNG_SEED`, so
-        the result is deterministic either way -- an unseeded fallback
-        here would break byte-identical experiment tables for any call
-        site that forgets to pass its generator.
-        """
-        return fast_convolve(x, self.tuned_taps(h_env, rng=rng))[:n_out]
-
     def tuned_taps(self, h_env: np.ndarray,
                    rng: np.random.Generator | None = None) -> np.ndarray:
         """The board's tuned tap vector: the true channel plus trim error.
@@ -227,6 +209,12 @@ class AnalogCanceller:
         sessions rely on exactly that: they draw the taps once and carry
         them across exchanges instead of re-randomising the hardware
         every frame.
+
+        When ``rng`` is omitted the component-precision error is drawn
+        from a generator seeded with :data:`DEFAULT_ANALOG_RNG_SEED`, so
+        the result is deterministic either way -- an unseeded fallback
+        here would break byte-identical experiment tables for any call
+        site that forgets to pass its generator.
         """
         if rng is None:
             rng = np.random.default_rng(DEFAULT_ANALOG_RNG_SEED)
@@ -240,8 +228,9 @@ class AnalogCanceller:
     def cancel(self, x: np.ndarray, y: np.ndarray, h_env: np.ndarray,
                rng: np.random.Generator | None = None) -> np.ndarray:
         """Return ``y`` minus the (imperfect) reconstruction of x*h_env."""
-        recon = self.reconstruction(x, h_env, np.asarray(y).size, rng=rng)
-        return np.asarray(y) - recon
+        y = np.asarray(y)
+        return y - stacked_convolve(x, self.tuned_taps(h_env, rng=rng))[
+            :y.size]
 
 
 @dataclass(frozen=True)
@@ -249,7 +238,10 @@ class DigitalCanceller:
     """Linear LS digital cancellation trained on the silent period.
 
     The silent period always has far more rows than taps, so the fit
-    takes :func:`ls_channel_estimate`'s normal-equation solve.
+    takes :func:`ls_channel_estimate`'s normal-equation solve.  The
+    residual may be a stack ``(n_rows, n)``: every row is fitted off one
+    Gram factorisation (a multi-RHS solve) and the taps come back
+    ``(n_rows, n_taps)``.
     """
 
     n_taps: int = 24
@@ -263,14 +255,20 @@ class DigitalCanceller:
     def cancel(self, x: np.ndarray, residual: np.ndarray,
                silent_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (cleaned signal, estimated channel)."""
+        residual = np.asarray(residual)
         h = self.estimate(x, residual, silent_rows)
-        recon = fast_convolve(x, h)[: np.asarray(residual).size]
-        return np.asarray(residual) - recon, h
+        recon = stacked_convolve(x, h)[..., : residual.shape[-1]]
+        return residual - recon, h
 
 
 @dataclass
 class CancellationResult:
-    """Diagnostics of a full cancellation pass."""
+    """Diagnostics of a full cancellation pass.
+
+    A pass over a stack of captures gives every field the stack's
+    leading axis (``cleaned`` is ``(n_rows, n)``, the depths and
+    ``adc_saturated`` are per-row arrays); :meth:`row` splits one out.
+    """
 
     cleaned: np.ndarray = field(repr=False)
     analog_residual_db: float = float("nan")
@@ -284,6 +282,19 @@ class CancellationResult:
     refit: bool = True
     """Whether the digital taps were fit on this capture (``False`` when
     a warm-started pass reused the previous exchange's taps)."""
+
+    def row(self, b: int) -> CancellationResult:
+        """Row ``b`` of a stacked pass as a one-capture result."""
+        return CancellationResult(
+            cleaned=self.cleaned[b],
+            analog_residual_db=float(self.analog_residual_db[b]),
+            digital_residual_db=float(self.digital_residual_db[b]),
+            total_depth_db=float(self.total_depth_db[b]),
+            adc_saturated=bool(self.adc_saturated[b]),
+            digital_taps=None if self.digital_taps is None
+            else self.digital_taps[b],
+            refit=self.refit,
+        )
 
 
 class SelfInterferenceCanceller:
@@ -315,9 +326,8 @@ class SelfInterferenceCanceller:
             digital_enabled=self.digital_enabled,
         )
 
-    def cancel(self, x: np.ndarray, y: np.ndarray, h_env: np.ndarray,
-               silent_rows: np.ndarray,
-               rng: np.random.Generator | None = None) -> CancellationResult:
+    def cancel(self, x: np.ndarray, y: np.ndarray, h_env,
+               silent_rows: np.ndarray, rng=None) -> CancellationResult:
         """Run the full chain.
 
         Parameters
@@ -327,28 +337,27 @@ class SelfInterferenceCanceller:
             canceller taps the PA output, as in the paper's design).
         y:
             The received waveform (self-interference + backscatter +
-            noise).
+            noise), or a stack ``(n_rows, n)`` of captures of ``x``.
         h_env:
             The true environment channel (the analog canceller's tuning
-            target).
+            target); one per row for a stack.
         silent_rows:
             Sample indices of the tag's silent period, used to train the
             digital stage without touching the backscatter signal.
+        rng:
+            The analog board's generator; one (or ``None``) per row for
+            a stack.
         """
         with get_collector().span("cancellation") as sp:
-            return self._cancel(x, y, h_env, silent_rows, sp, rng=rng)
+            y = np.asarray(y, dtype=np.complex128)
+            staged = self.begin(x, h_env, y.shape[-1], rng=rng)
+            after_analog = staged.analog(y)
+            # The reconstruction is spent: free it (a stack's worth of
+            # samples) before the frame-barrier stages allocate theirs.
+            staged.recon = None
+            return staged.finish(y, after_analog, silent_rows, sp)
 
-    def _cancel(self, x: np.ndarray, y: np.ndarray, h_env: np.ndarray,
-                silent_rows: np.ndarray, sp,
-                rng: np.random.Generator | None = None
-                ) -> CancellationResult:
-        y = np.asarray(y, dtype=np.complex128)
-        staged = self.begin(x, h_env, y.size, rng=rng)
-        after_analog = staged.analog(y)
-        return staged.finish(y, after_analog, silent_rows, sp)
-
-    def begin(self, x: np.ndarray, h_env: np.ndarray, n_out: int,
-              rng: np.random.Generator | None = None,
+    def begin(self, x: np.ndarray, h_env, n_out: int, rng=None,
               analog_taps: np.ndarray | None = None
               ) -> "StagedCancellation":
         """Start a cancellation pass whose receive signal arrives later.
@@ -359,7 +368,10 @@ class SelfInterferenceCanceller:
         returned :class:`StagedCancellation` can subtract the analog
         stage from receive-sample chunks as they arrive.  The rng draw
         happens at the same stream position as in :meth:`cancel`, which
-        keeps a chunked pass bit-identical to a one-shot pass.
+        keeps a chunked pass bit-identical to a one-shot pass.  For a
+        stack (``h_env`` a sequence of 1-D channels, ``rng`` one
+        generator or ``None`` per row) each row draws from its own
+        generator, in row order.
 
         ``analog_taps`` skips the draw and reuses an already-tuned board
         state (a warm session carrying hardware trim across exchanges);
@@ -368,27 +380,19 @@ class SelfInterferenceCanceller:
         has.
         """
         x = np.asarray(x, dtype=np.complex128)
-        recon = None
-        h_hat = None
+        recon = h_hat = None
         if self.analog_enabled:
-            h_hat = np.asarray(analog_taps, dtype=np.complex128) \
-                if analog_taps is not None \
-                else self.analog.tuned_taps(h_env, rng=rng)
-            recon = fast_convolve(x, h_hat)[:n_out]
+            if analog_taps is not None:
+                h_hat = np.asarray(analog_taps, dtype=np.complex128)
+            elif len(h_env) and np.ndim(h_env[0]) == 1:
+                rngs = [None] * len(h_env) if rng is None else rng
+                h_hat = pad_stack([self.analog.tuned_taps(h, rng=r)
+                                   for h, r in zip(h_env, rngs)])
+            else:
+                h_hat = self.analog.tuned_taps(h_env, rng=rng)
+            recon = stacked_convolve(x, h_hat)[..., :n_out]
         return StagedCancellation(chain=self, x=x, recon=recon,
-                                  n_out=n_out, analog_taps=h_hat)
-
-
-class _SilentSpan:
-    """Probe sink used when a staged finish runs without a live span."""
-
-    __slots__ = ()
-
-    def probe(self, name, value):
-        pass
-
-
-_SILENT_SP = _SilentSpan()
+                                  analog_taps=h_hat)
 
 
 class StagedCancellation:
@@ -398,28 +402,28 @@ class StagedCancellation:
     that is already fully known at :meth:`SelfInterferenceCanceller.begin`
     time, so it streams; everything after it (AGC, ADC, the silent-period
     LS fit) needs global statistics of the capture and runs once at the
-    frame barrier in :meth:`finish`.  Both the batch canceller and the
-    streaming decoder run through this class, so there is exactly one
-    implementation of the chain.
+    frame barrier in :meth:`finish`.  The one-shot canceller (on one
+    capture or a stack) and the streaming decoder both run through this
+    class, so there is exactly one implementation of the chain.
     """
 
     def __init__(self, *, chain: SelfInterferenceCanceller, x: np.ndarray,
-                 recon: np.ndarray | None, n_out: int,
+                 recon: np.ndarray | None,
                  analog_taps: np.ndarray | None = None):
         self.chain = chain
         self.x = x
         self.recon = recon
-        self.n_out = int(n_out)
         self.analog_taps = analog_taps
         """The analog board state this pass subtracts with (``None`` when
         the analog stage is disabled).  Warm sessions carry it forward."""
 
     def analog(self, y_chunk: np.ndarray, start: int = 0) -> np.ndarray:
-        """Analog-cancel one receive chunk beginning at sample ``start``."""
+        """Analog-cancel one receive chunk beginning at sample ``start``
+        (chunks of a stack carry its leading axis)."""
         y_chunk = np.asarray(y_chunk, dtype=np.complex128)
         if self.recon is None:
             return y_chunk.copy()
-        return y_chunk - self.recon[start:start + y_chunk.size]
+        return y_chunk - self.recon[..., start:start + y_chunk.shape[-1]]
 
     def finish(self, y: np.ndarray, after_analog: np.ndarray,
                silent_rows: np.ndarray, sp=None, *,
@@ -428,29 +432,33 @@ class StagedCancellation:
 
         ``y`` is the raw receive signal (for depth metrics only) and
         ``after_analog`` the concatenation of :meth:`analog` outputs.
+        For stacks ``(n_rows, n)`` every row gets its own AGC scale and
+        depth metrics, the digital fits share one Gram factorisation,
+        and the result carries the stack axis.
         ``warm_taps`` offers a previous exchange's digital FIR estimate:
         it is reused -- skipping the LS fit -- if the held-out silent
         residual it leaves stays within :data:`WARM_REUSE_MAX_RISE_DB`
-        of thermal, else the pass falls back to a fresh fit.
+        of thermal on every row, else the pass falls back to a fresh fit.
         """
         if sp is None:
-            sp = _SILENT_SP
+            sp = NullCollector().span("cancellation")
         chain = self.chain
         x = self.x
         y = np.asarray(y, dtype=np.complex128)
-        after_analog = np.asarray(after_analog, dtype=np.complex128)
+        single = y.ndim == 1
+        y = np.atleast_2d(y)
+        after_analog = np.atleast_2d(
+            np.asarray(after_analog, dtype=np.complex128))
         silent_rows = np.asarray(silent_rows, dtype=np.intp)
 
         # Depth metrics are evaluated on the silent period only: elsewhere
         # the surviving backscatter signal would mask the true SI residue.
-        analog_db = residual_power_db(y[silent_rows],
-                                      after_analog[silent_rows])
+        analog_db = _depth_db(y[:, silent_rows], after_analog[:, silent_rows])
 
         # AGC + ADC: the converter is scaled to whatever survives analog
         # cancellation.  The AGC statistic is global (RMS over the whole
         # capture), which is why this stage sits behind the frame barrier.
         quantized, saturated = chain.adc.agc_quantize(after_analog)
-        saturated = bool(saturated)
 
         # Train the digital stage on the first 3/4 of the silent period
         # and report depth on the held-out tail, so LS overfitting does
@@ -458,41 +466,39 @@ class StagedCancellation:
         split = (3 * silent_rows.size) // 4
         train_rows = silent_rows[:split]
         eval_rows = silent_rows[split:]
-        taps: np.ndarray | None = None
-        refit = True
+        cleaned, taps, refit = quantized, None, True
         if chain.digital_enabled:
-            cleaned = None
             if warm_taps is not None:
-                reused = quantized - fast_convolve(x, warm_taps)[
-                    :quantized.size]
-                residual_mw = float(
-                    np.mean(np.abs(reused[eval_rows]) ** 2))
-                thermal = noise_power_mw()
-                rise_db = 10.0 * np.log10(
-                    max(residual_mw, 1e-30) / max(thermal, 1e-30))
-                if rise_db <= WARM_REUSE_MAX_RISE_DB:
-                    cleaned, taps, refit = reused, warm_taps, False
-            if cleaned is None:
+                reused = quantized - stacked_convolve(x, warm_taps)[
+                    :quantized.shape[-1]]
+                residual_mw = np.mean(np.abs(reused[:, eval_rows]) ** 2,
+                                      axis=-1)
+                rise_db = 10.0 * np.log10(np.maximum(residual_mw, 1e-30)
+                                          / max(noise_power_mw(), 1e-30))
+                if np.all(rise_db <= WARM_REUSE_MAX_RISE_DB):
+                    cleaned, refit = reused, False
+                    taps = np.broadcast_to(warm_taps,
+                                           (len(y), np.size(warm_taps)))
+            if refit:
                 cleaned, taps = chain.digital.cancel(
                     x, quantized, train_rows)
-        else:
-            cleaned = quantized
-        digital_db = residual_power_db(quantized[eval_rows],
-                                       cleaned[eval_rows])
-        total_db = residual_power_db(y[eval_rows], cleaned[eval_rows])
-        # Residual SI power after the full chain, measured on the
-        # held-out silent tail (the probe GuardRider-style field
-        # debugging wants first).
-        residual_mw = float(np.mean(np.abs(cleaned[eval_rows]) ** 2))
-        sp.probe("analog_depth_db", analog_db)
-        sp.probe("digital_depth_db", digital_db)
-        sp.probe("total_depth_db", total_db)
-        sp.probe("residual_si_dbm",
-                 10.0 * np.log10(max(residual_mw, 1e-30)))
-        sp.probe("adc_saturated", saturated)
-        if warm_taps is not None:
-            sp.probe("digital_refit", refit)
-        return CancellationResult(
+        digital_db = _depth_db(quantized[:, eval_rows], cleaned[:, eval_rows])
+        total_db = _depth_db(y[:, eval_rows], cleaned[:, eval_rows])
+        if get_collector().enabled:
+            # Residual SI power after the full chain, measured on the
+            # held-out silent tail (the probe GuardRider-style field
+            # debugging wants first).
+            residual_mw = np.mean(np.abs(cleaned[:, eval_rows]) ** 2,
+                                  axis=-1)
+            probe_rows(sp, "analog_depth_db", analog_db)
+            probe_rows(sp, "digital_depth_db", digital_db)
+            probe_rows(sp, "total_depth_db", total_db)
+            probe_rows(sp, "residual_si_dbm",
+                       10.0 * np.log10(np.maximum(residual_mw, 1e-30)))
+            probe_rows(sp, "adc_saturated", saturated)
+            if warm_taps is not None:
+                sp.probe("digital_refit", refit)
+        result = CancellationResult(
             cleaned=cleaned,
             analog_residual_db=analog_db,
             digital_residual_db=digital_db,
@@ -501,3 +507,9 @@ class StagedCancellation:
             digital_taps=taps,
             refit=refit,
         )
+        return result.row(0) if single else result
+
+
+def _depth_db(before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """:func:`residual_power_db` of each row."""
+    return np.array([residual_power_db(b, a) for b, a in zip(before, after)])

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..constants import SAMPLES_PER_US
-from ..dsp.fastpath import fast_convolve
+from ..dsp.fastpath import stacked_convolve
 from ..tag.tag import PREAMBLE_CHIP_US, tag_preamble_phases
-from .cancellation import DEFAULT_RIDGE, ls_channel_estimate
+from ..telemetry import probe_rows
+from .cancellation import ls_channel_estimate
 
 __all__ = ["ChannelEstimate", "estimate_combined_channel",
-           "estimate_combined_channel_group", "preamble_condition_number"]
+           "estimate_combined_channel_group", "preamble_condition_number",
+           "probe_estimates"]
 
 DEFAULT_N_TAPS = 8
 """Taps for h_fb: indoor delay spreads of 50-80 ns are 1-2 samples per
@@ -74,8 +76,7 @@ def preamble_condition_number(
     the excitation can identify ``h_fb``: wideband WiFi sits near 1-10,
     narrowband excitations (BLE) reach into the thousands and make the
     estimate noise-dominated.  Computed on demand as a telemetry probe
-    -- it costs an extra SVD, so callers gate it on
-    ``get_collector().enabled``.
+    (see :func:`probe_estimates`).
     """
     from .cancellation import convolution_matrix
 
@@ -103,6 +104,8 @@ def estimate_combined_channel(
 ) -> ChannelEstimate:
     """LS-estimate ``h_fb`` from the tag preamble region.
 
+    :func:`estimate_combined_channel_group` on a stack of one.
+
     Parameters
     ----------
     x:
@@ -114,8 +117,34 @@ def estimate_combined_channel(
     preamble_us:
         Preamble duration (32 or 96 us).
     """
-    x = np.asarray(x, dtype=np.complex128)
     y_clean = np.asarray(y_clean, dtype=np.complex128)
+    return estimate_combined_channel_group(
+        x, y_clean[None], preamble_start, preamble_us,
+        n_taps=n_taps, preamble_seed=preamble_seed)[0]
+
+
+def estimate_combined_channel_group(
+    x: np.ndarray,
+    y_stack: np.ndarray,
+    preamble_start: int,
+    preamble_us: float,
+    *,
+    n_taps: int = DEFAULT_N_TAPS,
+    preamble_seed: int = 0x35,
+) -> list[ChannelEstimate]:
+    """LS-estimate ``h_fb`` for a stack of captures sharing one timing.
+
+    ``y_stack`` is ``(n_group, n)`` -- post-cancellation captures that
+    all won the same preamble start against the same excitation ``x``
+    (one sync group of the reader pipeline).  The excitation-side work
+    -- chip derotation geometry, convolution matrix, Gram factorisation
+    -- is done once; every row is solved as one multi-RHS system, and a
+    stack of one is bit for bit the single-capture fit.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    y_stack = np.asarray(y_stack, dtype=np.complex128)
+    if y_stack.ndim != 2 or y_stack.shape[1] != x.size:
+        raise ValueError("y_stack must be (n_group, len(x))")
     if preamble_start < 0:
         raise ValueError("preamble starts before the capture")
     preamble = tag_preamble_phases(preamble_us, seed=preamble_seed)
@@ -123,7 +152,7 @@ def estimate_combined_channel(
     guard = n_taps  # skip the channel transient after each phase flip
 
     rows = _valid_preamble_rows(preamble_start, n_chips, guard)
-    rows = rows[rows < y_clean.size]
+    rows = rows[rows < y_stack.shape[1]]
     if rows.size < 4 * n_taps:
         raise ValueError("preamble too short for channel estimation")
 
@@ -136,79 +165,33 @@ def estimate_combined_channel(
     hi = int(rows[-1]) + 1
     x_span = x[lo:hi]
     local = rows - lo
-    y_derot = np.zeros(hi - lo, dtype=np.complex128)
-    y_derot[local] = y_clean[rows] * np.conj(preamble[rows - preamble_start])
+    y_derot = np.zeros((y_stack.shape[0], hi - lo), dtype=np.complex128)
+    y_derot[:, local] = y_stack[:, rows] \
+        * np.conj(preamble[rows - preamble_start])
 
     h = ls_channel_estimate(x_span, y_derot, n_taps, rows=local)
-
-    recon = fast_convolve(x_span, h)
-    resid = y_derot[local] - recon[local]
-    residual_power = float(np.mean(np.abs(resid) ** 2))
-    return ChannelEstimate(h_fb=h, residual_power=residual_power,
-                           n_rows=int(rows.size))
-
-
-def estimate_combined_channel_group(
-    x: np.ndarray,
-    y_stack: np.ndarray,
-    preamble_start: int,
-    preamble_us: float,
-    *,
-    n_taps: int = DEFAULT_N_TAPS,
-    preamble_seed: int = 0x35,
-) -> list[ChannelEstimate]:
-    """:func:`estimate_combined_channel` for a stack sharing one timing.
-
-    ``y_stack`` is ``(n_group, n)`` -- post-cancellation captures that
-    all won the same preamble start against the same excitation ``x``
-    (a batched decoder's per-offset group).  The excitation-side work --
-    chip derotation geometry, convolution matrix, Gram factorisation --
-    is done once; every element is solved as one multi-RHS system and
-    matches its scalar call to float64 rounding.
-
-    On a singular Gram each element runs the scalar estimator instead,
-    preserving the scalar path's exact behaviour.
-    """
-    from .cancellation import convolution_matrix
-
-    x = np.asarray(x, dtype=np.complex128)
-    y_stack = np.asarray(y_stack, dtype=np.complex128)
-    if y_stack.ndim != 2 or y_stack.shape[1] != x.size:
-        raise ValueError("y_stack must be (n_group, len(x))")
-    if preamble_start < 0:
-        raise ValueError("preamble starts before the capture")
-    n = y_stack.shape[1]
-
-    def _scalar_fallback() -> list[ChannelEstimate]:
-        return [
-            estimate_combined_channel(
-                x, y_stack[j], preamble_start, preamble_us,
-                n_taps=n_taps, preamble_seed=preamble_seed)
-            for j in range(y_stack.shape[0])
-        ]
-
-    preamble = tag_preamble_phases(preamble_us, seed=preamble_seed)
-    n_chips = int(round(preamble_us / PREAMBLE_CHIP_US))
-    rows = _valid_preamble_rows(preamble_start, n_chips, n_taps)
-    rows = rows[rows < n]
-    if rows.size < 4 * n_taps:
-        raise ValueError("preamble too short for channel estimation")
-    phase = preamble[rows - preamble_start]
-    yd = y_stack[:, rows] * np.conj(phase)[None, :]
-    a = convolution_matrix(x, n_taps, rows)
-    ac = a.conj().T
-    g = ac @ a
-    col_energy = float(np.mean(g.diagonal().real))
-    g.flat[:: n_taps + 1] += DEFAULT_RIDGE * max(col_energy, 1e-300)
-    try:
-        h = np.linalg.solve(g, ac @ yd.T)                # (nt, n_group)
-    except np.linalg.LinAlgError:
-        return _scalar_fallback()
-    resid = yd - (a @ h).T
+    resid = y_derot[:, local] - stacked_convolve(x_span, h)[:, local]
     residual_power = np.mean(np.abs(resid) ** 2, axis=1)
     return [
-        ChannelEstimate(h_fb=h[:, j].copy(),
-                        residual_power=float(residual_power[j]),
+        ChannelEstimate(h_fb=h[j], residual_power=float(residual_power[j]),
                         n_rows=int(rows.size))
         for j in range(y_stack.shape[0])
     ]
+
+
+def probe_estimates(sp, ests: list[ChannelEstimate], x: np.ndarray,
+                    preamble_start: int, preamble_us: float, *,
+                    n_taps: int) -> None:
+    """The ``channel_est`` span's probes for estimates sharing a timing.
+
+    Includes the design matrix's condition number -- an extra SVD, so
+    callers only probe when a collector is listening.
+    """
+    probe_rows(sp, "gain_db",
+               [10.0 * np.log10(max(e.gain, 1e-30)) for e in ests])
+    probe_rows(sp, "residual_power", [e.residual_power for e in ests])
+    probe_rows(sp, "snr_estimate_db", [e.snr_estimate_db() for e in ests])
+    sp.probe("n_rows", ests[0].n_rows)
+    sp.probe("n_taps", int(ests[0].h_fb.size))
+    sp.probe("condition_number", preamble_condition_number(
+        x, preamble_start, preamble_us, n_taps=n_taps))

@@ -6,12 +6,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..coding.convolutional import CONSTRAINT, depuncture
-from ..coding.viterbi import viterbi_decode_soft
-from ..link.frames import TagFrame, parse_frame_bits
+from ..coding.viterbi import viterbi_decode_soft  # noqa: F401
+from ..link.frames import TagFrame, parse_frame_bits  # noqa: F401
 from ..tag.config import TagConfig
-from ..telemetry import get_collector
-from .demod import estimate_symbol_noise, psk_soft_llrs
+from .demod import psk_soft_llrs  # noqa: F401
+
+# ``viterbi_decode_soft``, ``parse_frame_bits`` and ``psk_soft_llrs``
+# stay bound here for perfbench's per-stage tracer, which wraps them at
+# this import site; the decode stage calls them from
+# :mod:`repro.reader.batch`.
 
 __all__ = ["TagDecodeOutput", "decode_tag_symbols"]
 
@@ -39,52 +42,13 @@ class TagDecodeOutput:
 
 def decode_tag_symbols(symbols: np.ndarray, noise_var: np.ndarray,
                        config: TagConfig) -> TagDecodeOutput:
-    """Soft-demap MRC outputs, Viterbi-decode and parse the tag frame."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    tm = get_collector()
-    with tm.span("decode") as sp:
-        llrs = psk_soft_llrs(symbols, config.modulation, noise_var)
+    """Soft-demap MRC outputs, Viterbi-decode and parse the tag frame.
 
-        if config.code_rate == "1/2":
-            mother = llrs
-            if mother.size % 2:
-                mother = mother[:-1]
-        else:
-            # The tag padded coded bits up to a whole symbol; the mother
-            # stream length must satisfy the puncturing pattern.  Trim
-            # the coded stream to the largest length consistent with
-            # rate 2/3 (3 coded bits per 4 mother bits).
-            n_coded = llrs.size - (llrs.size % 3)
-            mother = depuncture(llrs[:n_coded], config.code_rate,
-                                n_coded // 3 * 4)
-        if mother.size < 2 * CONSTRAINT:
-            return TagDecodeOutput(
-                frame=None,
-                decoded_bits=np.empty(0, dtype=np.uint8),
-                llrs=llrs,
-            )
-        decoded, path_metric = viterbi_decode_soft(
-            mother, terminated=False, return_metric=True)
-        frame = parse_frame_bits(decoded)
-        out = TagDecodeOutput(frame=frame, decoded_bits=decoded,
-                              llrs=llrs)
-        if tm.enabled:
-            abs_sum = float(np.sum(np.abs(mother)))
-            sp.probe("path_metric", path_metric)
-            sp.probe("viterbi_agreement",
-                     path_metric / abs_sum if abs_sum > 0 else 0.0)
-            sp.probe("mean_abs_llr", float(np.mean(np.abs(llrs)))
-                     if llrs.size else 0.0)
-            # Post-MRC EVM: RMS slicer error over RMS symbol magnitude
-            # (the per-symbol constellation quality GuardRider-style
-            # field debugging wants alongside SNR).
-            sym_power = float(np.mean(np.abs(symbols) ** 2)) \
-                if symbols.size else 0.0
-            if symbols.size and sym_power > 0:
-                err_power = estimate_symbol_noise(
-                    symbols, config.modulation)
-                sp.probe("evm_rms", float(np.sqrt(err_power
-                                                  / sym_power)))
-            sp.probe("frame_ok", out.ok)
-            sp.probe("n_payload_bits", int(out.payload_bits.size))
-        return out
+    The reader pipeline's decode stage
+    (:func:`repro.reader.batch.decode_symbol_rows`) on a stack of one.
+    """
+    from .batch import decode_symbol_rows
+
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    return decode_symbol_rows(symbols[None], np.asarray(noise_var)[None],
+                              config)[0]

@@ -21,16 +21,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dsp.fastpath import fast_convolve
+from ..dsp.fastpath import fast_convolve, stacked_convolve
 from ..telemetry import get_collector
 
-__all__ = ["MrcOutput", "mrc_combine", "expected_template"]
+__all__ = ["MrcOutput", "mrc_combine", "expected_template",
+           "payload_template"]
 
 
 def expected_template(x: np.ndarray, h_fb: np.ndarray,
                       n_out: int) -> np.ndarray:
     """``yhat[n] = (x * h_fb)[n]``: the unmodulated backscatter replica."""
     return fast_convolve(x, h_fb)[:n_out]
+
+
+def payload_template(x: np.ndarray, h_fb: np.ndarray, start: int,
+                     stop: int) -> np.ndarray:
+    """``(x * h_fb)[start:stop]`` for each row of the channel stack
+    ``h_fb`` ``(n_rows, n_taps)``: the replica over the payload span
+    only, each sample the same dot product as in the full template.
+
+    ``start >= n_taps - 1`` (a payload follows a preamble that held at
+    least ``4 * n_taps`` estimation rows).
+    """
+    lo = start - (h_fb.shape[-1] - 1)
+    return stacked_convolve(x[lo:stop], h_fb)[..., start - lo:]
 
 
 @dataclass
@@ -99,13 +113,18 @@ def mrc_combine(
                            samples_per_symbol, n_symbols,
                            guard=guard, noise_floor=noise_floor)
         if tm.enabled:
-            sp.probe("n_symbols", out.n_symbols)
-            sp.probe("samples_per_symbol", samples_per_symbol)
-            sp.probe("guard", guard)
-            sp.probe("mean_snr_db", out.mean_snr_db())
-            sp.probe("mean_template_energy",
-                     float(np.mean(out.template_energy)))
+            probe_mrc(sp, out, samples_per_symbol, guard)
         return out
+
+
+def probe_mrc(sp, out: MrcOutput, samples_per_symbol: int,
+              guard: int) -> None:
+    """The ``mrc`` span's probes (over all rows of a stacked output)."""
+    sp.probe("n_symbols", out.n_symbols)
+    sp.probe("samples_per_symbol", samples_per_symbol)
+    sp.probe("guard", guard)
+    sp.probe("mean_snr_db", out.mean_snr_db())
+    sp.probe("mean_template_energy", float(np.mean(out.template_energy)))
 
 
 def _mrc_combine(
@@ -116,7 +135,7 @@ def _mrc_combine(
     n_symbols: int,
     *,
     guard: int,
-    noise_floor: float,
+    noise_floor,
 ) -> MrcOutput:
     y_clean = np.asarray(y_clean, dtype=np.complex128)
     template = np.asarray(template, dtype=np.complex128)
@@ -146,34 +165,20 @@ def _mrc_combine(
     energy = np.sum(np.abs(t_use) ** 2, axis=-1)
     energy = np.maximum(energy, 1e-30)
     combined = np.sum(y_use * np.conj(t_use), axis=-1) / energy
-    # Var of combined statistic: sigma^2 * sum|t|^2 / (sum|t|^2)^2.
-    noise_floor_arr = np.asarray(noise_floor, dtype=np.float64)
-    if noise_floor_arr.ndim == 0 and not batch:
-        scalar_floor = float(noise_floor_arr)
-        if scalar_floor > 0:
-            noise_var = scalar_floor / energy
-        else:
-            # No measured floor: infer the per-sample noise power from
-            # the post-combine residuals.  Each symbol's fit consumes one
-            # complex degree of freedom (the phase estimate), hence the
-            # m-1 divisor.
-            resid = y_use - combined[..., None] * t_use
-            m = y_use.shape[-1]
-            sigma2 = float(np.sum(np.abs(resid) ** 2)) \
-                / (n_symbols * max(m - 1, 1))
-            noise_var = sigma2 / energy
-    else:
-        # Batched: a per-element floor (scalar broadcasts), with the
-        # residual-inference fallback applied per element exactly as the
-        # scalar path would -- computed only when some floor needs it.
-        per_sample = np.broadcast_to(noise_floor_arr, batch)
-        if not np.all(per_sample > 0):
-            resid = y_use - combined[..., None] * t_use
-            m = y_use.shape[-1]
-            sigma2 = np.sum(np.abs(resid) ** 2, axis=(-2, -1)) \
-                / (n_symbols * max(m - 1, 1))
-            per_sample = np.where(per_sample > 0, per_sample, sigma2)
-        noise_var = per_sample[..., None] / energy
+    # Var of combined statistic: sigma^2 * sum|t|^2 / (sum|t|^2)^2, with
+    # sigma^2 the per-element floor (a scalar broadcasts).  Where no
+    # floor was measured, infer the per-sample noise power from the
+    # post-combine residuals; each symbol's fit consumes one complex
+    # degree of freedom (the phase estimate), hence the m-1 divisor.
+    per_sample = np.broadcast_to(
+        np.asarray(noise_floor, dtype=np.float64), batch)
+    if not np.all(per_sample > 0):
+        resid = y_use - combined[..., None] * t_use
+        m = y_use.shape[-1]
+        sigma2 = np.sum(np.abs(resid) ** 2, axis=(-2, -1)) \
+            / (n_symbols * max(m - 1, 1))
+        per_sample = np.where(per_sample > 0, per_sample, sigma2)
+    noise_var = per_sample[..., None] / energy
     return MrcOutput(
         symbols=combined,
         noise_var=noise_var,

@@ -8,15 +8,17 @@ Order of operations for one excitation packet:
    estimation from the tag's PN preamble,
 3. per-symbol maximal-ratio combining of the payload,
 4. soft PSK demapping, Viterbi decoding, frame CRC validation.
+
+The stages run in :mod:`repro.reader.batch`, over a stack of captures;
+:meth:`BackFiReader.decode` runs them on a stack of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..channel.noise import noise_power_mw
 from ..constants import SAMPLES_PER_US, SILENT_US
 from ..link.protocol import ApTimeline
 from ..tag.config import TagConfig
@@ -24,10 +26,14 @@ from ..telemetry import get_collector
 from .cancellation import CancellationResult, SelfInterferenceCanceller
 from .channel_est import ChannelEstimate
 from .config import ReaderConfig
-from .decoder import TagDecodeOutput, decode_tag_symbols
-from .failures import FailureKind, ReaderFailure
-from .mrc import MrcOutput, expected_template, mrc_combine
-from .sync import SyncResult, find_tag_timing
+from .decoder import TagDecodeOutput
+from .failures import ReaderFailure
+from .mrc import MrcOutput, expected_template, mrc_combine  # noqa: F401
+from .sync import SyncResult, find_tag_timing  # noqa: F401
+
+# ``find_tag_timing``, ``expected_template`` and ``mrc_combine`` stay
+# bound here for perfbench's per-stage tracer, which wraps them at this
+# import site; the pipeline itself lives in :mod:`repro.reader.batch`.
 
 __all__ = ["BackFiReader", "ReaderResult"]
 
@@ -138,6 +144,9 @@ class BackFiReader:
                rng: np.random.Generator | None = None) -> ReaderResult:
         """Decode the backscatter riding on one AP transmission.
 
+        The reader pipeline (:func:`repro.reader.batch.decode_stack`,
+        recovery ladder included) on a stack of one.
+
         Parameters
         ----------
         timeline:
@@ -151,12 +160,17 @@ class BackFiReader:
             The transmitted waveform *after* the PA nonlinearity if the
             scene models one; the canceller taps the PA output.  Defaults
             to the ideal waveform.
+        rng:
+            The analog canceller's generator (a seeded default when
+            omitted).
         """
+        from .batch import decode_stack
+
         tm = get_collector()
         with tm.span("reader.decode") as sp:
-            result = self._decode_with_recovery(timeline, rx, h_env,
-                                                pa_output=pa_output,
-                                                rng=rng)
+            (result,) = decode_stack(
+                self, timeline, np.asarray(rx, dtype=np.complex128)[None],
+                [h_env], pa_output=pa_output, rngs=[rng])
             if tm.enabled:
                 self.probe_decode_result(sp, result)
             return result
@@ -185,187 +199,3 @@ class BackFiReader:
             sp.probe("recovery_attempts",
                      "; ".join(result.recovery_attempts))
             sp.probe("recovered", result.recovered)
-
-    def _decode_with_recovery(self, timeline: ApTimeline, rx: np.ndarray,
-                              h_env: np.ndarray, *,
-                              pa_output: np.ndarray | None = None,
-                              rng: np.random.Generator | None = None,
-                              first: ReaderResult | None = None
-                              ) -> ReaderResult:
-        """First pass, then escalate once per recoverable failure kind.
-
-        The ladder: a ``SYNC`` failure widens the timing search window;
-        a ``RESIDUAL_FLOOR`` or ``SATURATION`` failure re-runs the whole
-        chain with the digital canceller at doubled depth.  Escalations
-        compose (a widened window persists into a deeper-canceller
-        retry) and each action runs at most once, so the decode cost is
-        bounded at three passes.
-
-        ``first`` supplies a precomputed first-pass result (the streaming
-        decoder's chunk-assembled pass); the escalation ladder on top of
-        it is identical either way.
-        """
-        search_us = self.sync_search_us
-        canceller = self.canceller
-        attempts: list[str] = []
-        tried: set[FailureKind] = set()
-        result = first if first is not None else \
-            self._decode(timeline, rx, h_env, pa_output=pa_output,
-                         rng=rng, search_us=search_us,
-                         canceller=canceller)
-        while (self.recovery and not result.ok
-               and result.failure is not None
-               and result.failure.recoverable
-               and result.failure.kind not in tried):
-            kind = result.failure.kind
-            tried.add(kind)
-            if kind is FailureKind.SYNC:
-                search_us = search_us * self.sync_widen_factor
-                attempts.append(
-                    f"sync: widened search window to {search_us:g} us")
-            else:  # RESIDUAL_FLOOR or SATURATION
-                canceller = canceller.deepen()
-                attempts.append(
-                    "cancellation: re-ran with "
-                    f"{canceller.digital.n_taps} digital taps")
-                # Both floor kinds share one deepen action.
-                tried.update({FailureKind.RESIDUAL_FLOOR,
-                              FailureKind.SATURATION})
-            result = self._decode(timeline, rx, h_env,
-                                  pa_output=pa_output, rng=rng,
-                                  search_us=search_us,
-                                  canceller=canceller)
-        if attempts:
-            result = replace(result, recovery_attempts=tuple(attempts),
-                             recovered=result.ok)
-        return result
-
-    def _decode(self, timeline: ApTimeline, rx: np.ndarray,
-                h_env: np.ndarray, *,
-                pa_output: np.ndarray | None = None,
-                rng: np.random.Generator | None = None,
-                search_us: float | None = None,
-                canceller: SelfInterferenceCanceller | None = None,
-                canc: CancellationResult | None = None,
-                sync_center: int | None = None
-                ) -> ReaderResult:
-        """One pipeline pass.
-
-        ``canc`` injects a precomputed cancellation result (the streaming
-        decoder assembles one from chunks); ``sync_center`` recenters the
-        timing search away from the protocol's nominal preamble start (a
-        warm-started session searches around the previous exchange's
-        offset).  Both default to the batch behaviour.
-        """
-        if search_us is None:
-            search_us = self.sync_search_us
-        if canceller is None:
-            canceller = self.canceller
-        rx = np.asarray(rx, dtype=np.complex128)
-        x = timeline.samples if pa_output is None else \
-            np.asarray(pa_output, dtype=np.complex128)
-        if rx.size != x.size:
-            raise ValueError("rx must align with the transmitted waveform")
-
-        # 1. self-interference cancellation
-        silent = self.silent_rows(timeline)
-        if canc is None:
-            canc = canceller.cancel(x, rx, h_env, silent, rng=rng)
-        cleaned = canc.cleaned
-        # Estimate the effective noise floor on the part of the silent
-        # period the digital canceller did not train on (last quarter).
-        held_out = silent[(3 * silent.size) // 4:]
-        noise_floor = float(np.mean(np.abs(cleaned[held_out]) ** 2))
-
-        # 2. timing + channel estimation
-        try:
-            sync = find_tag_timing(
-                x, cleaned,
-                timeline.nominal_preamble_start if sync_center is None
-                else sync_center,
-                timeline.preamble_us,
-                search_us=search_us,
-                n_taps=self.n_channel_taps,
-                preamble_seed=self.preamble_seed,
-            )
-        except ValueError as exc:
-            return ReaderResult(
-                ok=False, cancellation=canc,
-                noise_floor_mw=noise_floor,
-                failure=ReaderFailure(FailureKind.SYNC, str(exc)),
-            )
-        est = sync.estimate
-
-        # 3. MRC combining over the payload region
-        sps = self.tag_config.samples_per_symbol
-        data_start = sync.preamble_start + \
-            int(timeline.preamble_us * SAMPLES_PER_US)
-        n_symbols = (timeline.wifi_end - data_start) // sps
-        if n_symbols < 1:
-            return ReaderResult(
-                ok=False, cancellation=canc, sync=sync,
-                channel=est, noise_floor_mw=noise_floor,
-                failure=ReaderFailure(FailureKind.NO_CAPACITY,
-                                      "no room for payload symbols"),
-            )
-        template = expected_template(x, est.h_fb, cleaned.size)
-        # Guard only the channel's actual delay spread (the ISI region at
-        # each phase switch), not the full estimation-filter length --
-        # at 2.5 Msym/s a symbol is only 8 samples long.
-        guard = min(6, max(sps // 2, 1), sps - 1)
-        mrc = mrc_combine(
-            cleaned, template, data_start, sps, int(n_symbols),
-            guard=guard, noise_floor=noise_floor,
-        )
-
-        # 4. decode (optionally with decision-directed drift tracking)
-        symbols = mrc.symbols
-        if self.track_phase:
-            from .tracking import phase_track
-
-            symbols = phase_track(
-                symbols, self.tag_config.modulation
-            ).symbols
-        decode = decode_tag_symbols(symbols, mrc.noise_var,
-                                    self.tag_config)
-        ok = decode.ok
-        failure = None
-        if not ok:
-            failure = self._classify_crc_failure(canc, noise_floor)
-        return ReaderResult(
-            ok=ok,
-            payload_bits=decode.payload_bits,
-            n_symbols=int(n_symbols),
-            symbol_snr_db=mrc.mean_snr_db(),
-            noise_floor_mw=noise_floor,
-            cancellation=canc,
-            sync=sync,
-            channel=est,
-            mrc=mrc,
-            decode=decode,
-            failure=failure,
-        )
-
-    @staticmethod
-    def _classify_crc_failure(canc: CancellationResult,
-                              noise_floor_mw: float) -> ReaderFailure:
-        """Blame a CRC failure on the most anomalous upstream symptom.
-
-        An ADC driven past full scale or a noise floor far above
-        thermal points at the cancellation chain (recoverable by
-        deepening the digital canceller); otherwise the frame simply
-        did not have the SNR, and only the link layer can help.
-        """
-        if getattr(canc, "adc_saturated", False):
-            return ReaderFailure(FailureKind.SATURATION,
-                                 "frame CRC failed with ADC at full scale")
-        thermal = noise_power_mw()
-        if noise_floor_mw > 0 and thermal > 0:
-            rise_db = 10.0 * float(np.log10(noise_floor_mw / thermal))
-            if rise_db > RESIDUAL_FLOOR_RISE_DB:
-                return ReaderFailure(
-                    FailureKind.RESIDUAL_FLOOR,
-                    f"frame CRC failed with noise floor {rise_db:.1f} dB "
-                    "above thermal",
-                )
-        return ReaderFailure(FailureKind.CRC, "frame CRC failed")

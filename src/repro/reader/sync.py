@@ -13,11 +13,12 @@ Candidates are scored by
 built once over :func:`candidate_window`, then one batched
 normal-equation solve per sweep.  :func:`replay_offset_selection` is the
 one selection walk (coarse sweep, single-sample refinement, boundary
-walk).  :func:`find_tag_timing` runs it on a capture, scoring only the
-offsets each of its three sweeps visits; ``BatchedDecoder`` runs it per
-element on a metric table precomputed for the whole window.  Both then
-run the full SVD estimator once, at the winning offset, so everything
-downstream of sync comes from the reference estimator.
+walk), and :class:`OffsetScores` feeds it, scoring only the offsets the
+walks visit, for every row of a stack at once.  The reader pipeline's
+timing stage (:func:`repro.reader.batch.search_timing`) composes them;
+:func:`find_tag_timing` is that stage on one capture.  Everything
+downstream of sync then comes from the reference estimator at the
+winning offset.
 """
 
 from __future__ import annotations
@@ -27,17 +28,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..constants import SAMPLES_PER_US
 from ..telemetry import get_collector
 from .channel_est import (
     ChannelEstimate,
     estimate_combined_channel,
-    preamble_condition_number,
+    probe_estimates,
 )
 from .fastpath import BatchPreambleSolver
 
-__all__ = ["SYNC_STEP", "SyncResult", "candidate_window", "find_tag_timing",
-           "replay_offset_selection", "timing_prior", "winning_sync"]
+__all__ = ["SYNC_STEP", "OffsetScores", "SyncResult", "candidate_window",
+           "find_tag_timing", "replay_offset_selection", "timing_prior",
+           "winning_sync"]
 
 SYNC_STEP = 4
 """Stride of the coarse offset sweep, in samples."""
@@ -90,6 +91,46 @@ def winning_sync(nominal: int, offset: int,
     )
 
 
+class OffsetScores:
+    """Penalised timing metrics of a stack, scored on demand.
+
+    ``solver`` covers the stack's candidate window; offsets are relative
+    to ``nominal``.  :meth:`row` gives one row's ``score`` callback for
+    :func:`replay_offset_selection`.  Offsets no row has asked for yet
+    are evaluated for every row in one solver call, so rows whose walks
+    visit the same offsets (one sync group) share each evaluation, and a
+    stack of one scores exactly the offsets its walk visits.
+    """
+
+    def __init__(self, solver: BatchPreambleSolver, nominal: int):
+        self.solver = solver
+        self.nominal = nominal
+        self._table: dict[int, tuple[list[bool], list[float]]] = {}
+
+    @property
+    def n_evaluated(self) -> int:
+        """Offsets scored so far (each for every row)."""
+        return len(self._table)
+
+    def row(self, b: int) -> Callable[[list[int]], list[float | None]]:
+        """Row ``b``'s metric (``None`` = infeasible) per offset."""
+        table = self._table
+
+        def score(offsets: list[int]) -> list[float | None]:
+            new = [off for off in offsets if off not in table]
+            if new:
+                grid = np.asarray(new)
+                feasible, residual_power, gain = self.solver.evaluate(
+                    self.nominal + grid)
+                with np.errstate(invalid="ignore"):
+                    metric = residual_power / gain * timing_prior(grid)
+                table.update(zip(new, zip(feasible.T.tolist(),
+                                          metric.T.tolist())))
+            return [m[b] if f[b] else None
+                    for f, m in map(table.__getitem__, offsets)]
+        return score
+
+
 def find_tag_timing(
     x: np.ndarray,
     y_clean: np.ndarray,
@@ -104,61 +145,29 @@ def find_tag_timing(
 
     The metric is the normalised LS residual: sharper (smaller) when the
     assumed chip boundaries line up with the tag's actual switching
-    instants.  A final pass refines to single-sample resolution.
+    instants.  A final pass refines to single-sample resolution.  The
+    reader pipeline's timing stage
+    (:func:`repro.reader.batch.search_timing`) on a stack of one, then
+    the reference estimate at the winning offset.
     """
+    from .batch import search_timing
+
     nominal = nominal_preamble_start
-    search = int(search_us * SAMPLES_PER_US)
+    (best,) = search_timing(
+        x, np.asarray(y_clean, dtype=np.complex128)[None], nominal,
+        preamble_us, search_us=search_us, n_taps=n_taps,
+        preamble_seed=preamble_seed)
+    if best is None:
+        raise ValueError("no feasible timing offset found")
+    est = estimate_combined_channel(x, y_clean, nominal + best[1],
+                                    preamble_us, n_taps=n_taps,
+                                    preamble_seed=preamble_seed)
     tm = get_collector()
-    n_evaluated = 0
-    solver = BatchPreambleSolver(
-        x, np.asarray(y_clean)[None], preamble_us, n_taps=n_taps,
-        preamble_seed=preamble_seed,
-        start_window=candidate_window(nominal, search, n_taps))
-
-    def score(offsets: list[int]) -> list[float | None]:
-        """Penalised metric (or None = infeasible) per candidate offset."""
-        nonlocal n_evaluated
-        n_evaluated += len(offsets)
-        feasible, residual_power, gain = (
-            a[0] for a in solver.evaluate(nominal + np.asarray(offsets)))
-        return [
-            float(residual_power[i] / gain[i] * timing_prior(off))
-            if feasible[i] else None
-            for i, off in enumerate(offsets)
-        ]
-
-    with tm.span("sync") as sp:
-        best = replay_offset_selection(score, search, n_taps)
-        if best is None:
-            sp.probe("candidates", n_evaluated)
-            raise ValueError("no feasible timing offset found")
-        off = best[1]
-        est = estimate_combined_channel(
-            x, y_clean, nominal + off, preamble_us,
-            n_taps=n_taps, preamble_seed=preamble_seed,
-        )
-        sync = winning_sync(nominal, off, est)
-        sp.probe("offset_samples", off)
-        sp.probe("metric", sync.metric)
-        sp.probe("candidates", n_evaluated)
-        sp.probe("search_samples", 2 * search + 1)
-
-    # Report the winning estimate's quality as its own stage: in the
-    # pipeline story channel estimation is a distinct step even though
-    # the search above computes it as a by-product.
     with tm.span("channel_est") as sp:
-        sp.probe("gain_db", 10.0 * np.log10(max(est.gain, 1e-30)))
-        sp.probe("residual_power", est.residual_power)
-        sp.probe("snr_estimate_db", est.snr_estimate_db())
-        sp.probe("n_rows", est.n_rows)
-        sp.probe("n_taps", int(est.h_fb.size))
         if tm.enabled:
-            # An extra SVD -- only worth it when someone is listening.
-            sp.probe("condition_number", preamble_condition_number(
-                x, nominal + off, preamble_us, n_taps=n_taps,
-            ))
-
-    return sync
+            probe_estimates(sp, [est], x, nominal + best[1], preamble_us,
+                            n_taps=n_taps)
+    return winning_sync(nominal, best[1], est)
 
 
 def replay_offset_selection(

@@ -15,9 +15,12 @@ statistic: the ADC's AGC scales to the RMS of the *whole* capture
 (:meth:`repro.channel.hardware.Adc.for_signal`), and the digital LS fit,
 sync search and MRC all consume the quantised capture.  Splitting there
 -- and drawing the analog canceller's rng error at ``begin_exchange``,
-the same stream position the batch path draws it -- is what makes a
+the same stream position ``reader.decode`` draws it -- is what makes a
 chunked decode **byte-identical** to ``reader.decode`` on the same
-capture (``tests/test_streaming.py`` asserts it at several chunk sizes).
+capture: :meth:`StreamingDecoder.finish` completes the cancellation
+chain on the assembled capture and enters the one reader pipeline
+(:mod:`repro.reader.batch`) with it as a stack of one
+(``tests/test_streaming.py`` asserts it for generated chunk partitions).
 
 **Warm start.**  With ``warm_start=True`` the decoder carries state
 across a session's exchanges instead of re-fitting per capture: the
@@ -38,6 +41,7 @@ import numpy as np
 
 from ..constants import SAMPLES_PER_US, SILENT_US
 from ..link.protocol import ApTimeline
+from ..reader.batch import decode_pass, decode_stack
 from ..reader.reader import BackFiReader, ReaderResult
 from ..telemetry import get_collector
 
@@ -278,46 +282,37 @@ class StreamingDecoder:
         timeline = self._timeline
         tm = get_collector()
         silent = reader.silent_rows(timeline)
-        warm = self.warm if self.warm_start else WarmState()
+        rx = self._rx[None]
 
-        if warm.digital_taps is not None or warm.sync_offset is not None:
-            with tm.span("cancellation") as csp:
-                canc = self._staged.finish(
-                    self._rx, self._after_analog, silent, csp,
-                    warm_taps=warm.digital_taps)
-            center = None
-            search_us = None
-            if warm.sync_offset is not None:
-                center = timeline.nominal_preamble_start + warm.sync_offset
-                search_us = self.warm_sync_search_us
-            first = reader._decode(
-                timeline, self._rx, self._h_env, pa_output=self._x,
-                rng=self._rng, canc=canc, search_us=search_us,
-                sync_center=center)
+        def cancel(warm_taps=None):
+            with tm.span("cancellation") as sp:
+                return self._staged.finish(
+                    rx, self._after_analog[None], silent, sp,
+                    warm_taps=warm_taps)
+
+        canc = None
+        warm = self.warm   # carried only by warm-start sessions
+        if warm.sync_offset is not None:
+            canc = cancel(warm.digital_taps)
+            (first,) = decode_pass(
+                reader, timeline, self._x, rx, [self._h_env], [self._rng],
+                canceller=reader.canceller,
+                search_us=self.warm_sync_search_us,
+                center=timeline.nominal_preamble_start + warm.sync_offset,
+                cancellation=canc)
             if first.ok:
-                if not canc.refit:
-                    self.warm_reuses += 1
+                self.warm_reuses += not canc.refit
                 return first
             # Warm attempt failed: re-run the full cold pipeline on the
             # same capture (fresh digital fit, nominal sync window).
             self.warm_fallbacks += 1
             if not canc.refit:
-                with tm.span("cancellation") as csp:
-                    canc = self._staged.finish(
-                        self._rx, self._after_analog, silent, csp)
-            first = reader._decode(
-                timeline, self._rx, self._h_env, pa_output=self._x,
-                rng=self._rng, canc=canc)
-        else:
-            with tm.span("cancellation") as csp:
-                canc = self._staged.finish(
-                    self._rx, self._after_analog, silent, csp)
-            first = reader._decode(
-                timeline, self._rx, self._h_env, pa_output=self._x,
-                rng=self._rng, canc=canc)
-        return reader._decode_with_recovery(
-            timeline, self._rx, self._h_env, pa_output=self._x,
-            rng=self._rng, first=first)
+                canc = None
+        (result,) = decode_stack(
+            reader, timeline, rx, [self._h_env], pa_output=self._x,
+            rngs=[self._rng],
+            cancellation=cancel() if canc is None else canc)
+        return result
 
     def _carry_warm_state(self, result: ReaderResult) -> None:
         if result.ok and result.sync is not None \

@@ -33,6 +33,7 @@ from .collector import (
     default_telemetry_dir,
     get_collector,
     probe,
+    probe_rows,
     set_collector,
     span,
     use_collector,
@@ -50,6 +51,7 @@ __all__ = [
     "get_collector",
     "load_run",
     "probe",
+    "probe_rows",
     "resolve_run_path",
     "set_collector",
     "span",

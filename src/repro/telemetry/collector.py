@@ -27,6 +27,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+import numpy as np
+
 __all__ = [
     "RECORD_VERSION",
     "TELEMETRY_DIR_ENV",
@@ -37,6 +39,7 @@ __all__ = [
     "default_telemetry_dir",
     "get_collector",
     "probe",
+    "probe_rows",
     "set_collector",
     "span",
     "use_collector",
@@ -443,3 +446,11 @@ def count(name: str, n: int = 1) -> None:
 def probe(name: str, value: Any) -> None:
     """Attach a probe to the current collector's innermost span."""
     _current.probe(name, value)
+
+
+def probe_rows(sp, name: str, values) -> None:
+    """Probe a per-row quantity of a stacked pass on span ``sp``: the
+    row's own value for a stack of one, else the mean over the rows."""
+    values = np.asarray(values)
+    sp.probe(name, values.item() if values.size == 1
+             else float(np.mean(values)))

@@ -1,13 +1,20 @@
-"""Batched-vs-loop decode equivalence (the PR's tentpole contract).
+"""The stack contract of the one reader pipeline.
 
-The batched decoder must reproduce the per-exchange pipeline exactly:
-ok flags and payload bits bit-for-bit, float diagnostics to rtol 1e-10
-(BLAS summation-order noise only).  The 100-element snapshot here is
-the same scale the ``bench_batched_decode`` benchmark times.
+``reader.decode`` is the pipeline on a stack of one and
+``BatchedDecoder.decode_batch`` the same pipeline on a whole stack, so
+every row of a stack must decode exactly as its stack of one: ok flags,
+payload bits, failure kinds and recovery attempts bit for bit, float
+diagnostics to rtol 1e-10 (BLAS summation-order noise only).  Fixed
+snapshots pin it (the 100-element one is the scale the
+``bench_batched_decode`` benchmark times), and a property checks it
+for generated sub-stacks and permutations of a pool that walks both
+recovery rungs.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel import Scene
 from repro.channel.multipath import apply_channel
@@ -104,8 +111,9 @@ class TestBatchedDecoder:
         _assert_equivalent(loop, batch)
 
     def test_failures_and_recovery_match_loop(self):
-        # Far tags fail CRC; a pure-noise element fails sync and walks
-        # the recovery ladder (widened search) in both paths.
+        # Far tags fail CRC; a pure-noise element fails with a raised
+        # residual floor and walks the recovery ladder (deeper digital
+        # canceller) in both paths.
         cfg = TagConfig("qpsk", "1/2", 1e6)
         tl, rx, h_envs = _build_batch(
             12, cfg, distance_fn=lambda b: 4.0 + 0.5 * b)
@@ -136,6 +144,21 @@ class TestBatchedDecoder:
         batch = BatchedDecoder(reader).decode_batch(tl, rx, h_envs)
         _assert_equivalent(loop, batch)
 
+    def test_phase_tracking_matches_loop(self):
+        # Tracking runs per row inside the pass; there is no
+        # per-exchange fallback.
+        cfg = TagConfig("qpsk", "1/2", 1e6)
+        tl, rx, h_envs = _build_batch(4, cfg)
+        reader = BackFiReader(cfg, track_phase=True)
+        loop = [reader.decode(tl, rx[b], h_envs[b],
+                              rng=np.random.default_rng(b))
+                for b in range(rx.shape[0])]
+        batch = BatchedDecoder(reader).decode_batch(
+            tl, rx, h_envs,
+            rngs=[np.random.default_rng(b) for b in range(rx.shape[0])])
+        assert all(r.ok for r in loop)
+        _assert_equivalent(loop, batch)
+
     def test_rejects_misaligned_batch(self):
         cfg = TagConfig("qpsk", "1/2", 1e6)
         tl, rx, h_envs = _build_batch(2, cfg)
@@ -144,3 +167,60 @@ class TestBatchedDecoder:
             dec.decode_batch(tl, rx[:, :-5], h_envs)
         with pytest.raises(ValueError):
             dec.decode_batch(tl, rx, h_envs[:1])
+
+    def test_empty_stack_returns_empty(self):
+        # An empty stack returns before any stage runs, with or without
+        # phase tracking.
+        cfg = TagConfig("qpsk", "1/2", 1e6)
+        tl, rx, _ = _build_batch(1, cfg)
+        empty = np.empty((0, rx.shape[1]), dtype=np.complex128)
+        for track in (False, True):
+            reader = BackFiReader(cfg, track_phase=track)
+            assert BatchedDecoder(reader).decode_batch(tl, empty, []) == []
+
+
+POOL_DISTANCES = (1.0, 1.5, 2.0, 7.0, 1.2, 1.7)
+"""Pool rows: four tags (the 7 m one fails its CRC), then row 4 becomes
+pure noise and row 5 a dead capture."""
+
+
+def _pool_rng(b):
+    return np.random.default_rng(8000 + b)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """A fixed pool and each row's stack-of-one decode.
+
+    Row 4 is receiver noise only: it fails with the noise floor far
+    above thermal and climbs the deeper-canceller rung.  Row 5 is a
+    dead capture (no signal, no self-interference): no timing offset
+    is feasible, so it climbs the widened-search rung.
+    """
+    cfg = TagConfig("qpsk", "1/2", 1e6)
+    tl, rx, h_envs = _build_batch(len(POOL_DISTANCES), cfg,
+                                  distance_fn=POOL_DISTANCES.__getitem__)
+    nrng = np.random.default_rng(9)
+    rx[4] = (nrng.standard_normal(rx.shape[1])
+             + 1j * nrng.standard_normal(rx.shape[1])) * 1e-9
+    rx[5] = 0.0
+    h_envs[5] = np.zeros_like(h_envs[5])
+    reader = BackFiReader(cfg)
+    singles = [reader.decode(tl, rx[b], h_envs[b], rng=_pool_rng(b))
+               for b in range(rx.shape[0])]
+    kinds = [r.failure.kind.value if r.failure else "ok" for r in singles]
+    assert kinds == ["ok", "ok", "ok", "crc", "residual-floor", "sync"]
+    assert [len(r.recovery_attempts) for r in singles] == [0] * 4 + [1, 1]
+    return reader, tl, rx, h_envs, singles
+
+
+class TestStackContract:
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.permutations(range(len(POOL_DISTANCES))).flatmap(
+        lambda p: st.integers(1, len(p)).map(lambda k: p[:k])))
+    def test_any_substack_matches_stack_of_one(self, pool, order):
+        reader, tl, rx, h_envs, singles = pool
+        stacked = BatchedDecoder(reader).decode_batch(
+            tl, rx[order], [h_envs[b] for b in order],
+            rngs=[_pool_rng(b) for b in order])
+        _assert_equivalent([singles[b] for b in order], stacked)

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from repro.dsp import (
-    decimate,
     design_lowpass,
     evm_rms,
     find_correlation_peak,
     fir_filter,
     fractional_delay_filter,
-    hold_expand,
     moving_average,
     normalized_cross_correlation,
     occupied_bandwidth_hz,
@@ -19,7 +17,6 @@ from repro.dsp import (
     schmidl_cox_metric,
     sliding_correlation,
     symbol_snr_db,
-    upsample_interp,
 )
 
 
@@ -195,31 +192,3 @@ class TestMeasurements:
         before = np.ones(100)
         after = np.ones(100) * 0.1
         assert residual_power_db(before, after) == pytest.approx(-20.0)
-
-
-class TestResample:
-    def test_hold_expand(self):
-        out = hold_expand(np.array([1, 2]), 3)
-        assert out.tolist() == [1, 1, 1, 2, 2, 2]
-
-    def test_hold_expand_invalid(self):
-        with pytest.raises(ValueError):
-            hold_expand(np.ones(3), 0)
-
-    def test_decimate_recovers_slow_signal(self):
-        n = np.arange(1000)
-        x = np.cos(2 * np.pi * 0.01 * n)
-        y = decimate(x, 4)
-        assert y.size == 250
-        # The 63-tap anti-alias filter delays by 31 input samples = 7.75
-        # output samples.
-        expect = np.cos(2 * np.pi * 0.04 * (np.arange(250) - 7.75))
-        assert np.corrcoef(y[40:-40], expect[40:-40])[0, 1] > 0.99
-
-    def test_upsample_length(self):
-        x = np.ones(100)
-        assert upsample_interp(x, 4).size == 400
-
-    def test_upsample_factor_one(self):
-        x = np.arange(5, dtype=float)
-        assert np.array_equal(upsample_interp(x, 1), x)

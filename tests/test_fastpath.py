@@ -201,6 +201,22 @@ class TestStackedConvolve:
         h = _cnoise(rng, (2, 256))
         _assert_close(stacked_convolve(x, h), fast_convolve(x, h))
 
+    @pytest.mark.parametrize("shape_x,shape_h", [
+        ((11760,), (1, 24)),     # the digital canceller's one-row fit
+        ((11760,), (1, 16)),     # the analog board on a stack of one
+        ((1, 3000), (8,)),       # one stacked signal, shared filter
+        ((1, 1, 500), (1, 5)),   # one row behind two batch axes
+    ])
+    def test_one_row_stack_is_fast_convolve_bitwise(self, rng, shape_x,
+                                                    shape_h):
+        # A stack of one takes fast_convolve's direct form, so it is
+        # bit for bit the single-row convolution.
+        x, h = _cnoise(rng, shape_x), _cnoise(rng, shape_h)
+        out = stacked_convolve(x, h)
+        assert np.array_equal(out, fast_convolve(x, h))
+        assert np.array_equal(out.reshape(-1),
+                              fast_convolve(x.reshape(-1), h.reshape(-1)))
+
 
 class TestCrossover:
     def test_crossover_predicate(self):

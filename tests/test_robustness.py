@@ -1,5 +1,7 @@
 """Failure-injection and robustness tests for the reader pipeline."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.faults import (
 )
 from repro.link import build_ap_transmission, run_backscatter_session
 from repro.reader import BackFiReader, FailureKind, ReaderFailure
+from repro.reader import batch as reader_batch
 from repro.reader.reader import ReaderResult
 from repro.tag import BackFiTag, TagConfig
 from repro.wifi import random_payload
@@ -261,30 +264,41 @@ class TestTypedFailures:
 
 
 class _ScriptedReader(BackFiReader):
-    """Reader whose decode passes follow a scripted failure sequence."""
+    """Reader whose decode passes follow a scripted failure sequence.
+
+    :meth:`run` decodes a stack of one through the real recovery ladder
+    (:func:`repro.reader.batch.decode_stack`) with the pipeline pass
+    replaced by :meth:`scripted_pass`.
+    """
+
+    _TIMELINE = SimpleNamespace(samples=np.zeros(4, dtype=np.complex128))
 
     def __init__(self, script, **kwargs):
         super().__init__(TagConfig(), **kwargs)
         self.script = list(script)
         self.calls = []
 
-    def _decode(self, timeline, rx, h_env, *, pa_output=None, rng=None,
-                search_us=None, canceller=None):
-        search_us = self.sync_search_us if search_us is None \
-            else search_us
-        canceller = self.canceller if canceller is None else canceller
+    def scripted_pass(self, reader, timeline, x, rx, h_env, rngs, *,
+                      canceller, search_us, center=None,
+                      cancellation=None):
+        assert reader is self and rx.shape[0] == 1
         self.calls.append((search_us, canceller.digital.n_taps))
         if self.script:
             kind = self.script.pop(0)
-            return ReaderResult(
-                ok=False, failure=ReaderFailure(kind, "scripted"))
-        return ReaderResult(ok=True)
+            return [ReaderResult(
+                ok=False, failure=ReaderFailure(kind, "scripted"))]
+        return [ReaderResult(ok=True)]
+
+    def run(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reader_batch, "decode_pass", self.scripted_pass)
+            return self.decode(self._TIMELINE, np.zeros(4), np.ones(1))
 
 
 class TestRecoveryEscalation:
     def test_sync_failure_widens_search_window(self):
         reader = _ScriptedReader([FailureKind.SYNC])
-        out = reader._decode_with_recovery(None, None, None)
+        out = reader.run()
         assert out.ok and out.recovered
         assert len(reader.calls) == 2
         assert reader.calls[1][0] == pytest.approx(
@@ -293,7 +307,7 @@ class TestRecoveryEscalation:
 
     def test_floor_failure_deepens_canceller(self):
         reader = _ScriptedReader([FailureKind.RESIDUAL_FLOOR])
-        out = reader._decode_with_recovery(None, None, None)
+        out = reader.run()
         assert out.ok and out.recovered
         assert reader.calls[1][1] == 2 * reader.calls[0][1]
 
@@ -303,7 +317,7 @@ class TestRecoveryEscalation:
                                   FailureKind.SATURATION,
                                   FailureKind.SYNC,
                                   FailureKind.SYNC])
-        out = reader._decode_with_recovery(None, None, None)
+        out = reader.run()
         assert not out.ok and not out.recovered
         assert len(reader.calls) == 3
         assert len(out.recovery_attempts) == 2
@@ -313,13 +327,13 @@ class TestRecoveryEscalation:
 
     def test_unrecoverable_kind_not_escalated(self):
         reader = _ScriptedReader([FailureKind.CRC])
-        out = reader._decode_with_recovery(None, None, None)
+        out = reader.run()
         assert not out.ok
         assert len(reader.calls) == 1
         assert out.recovery_attempts == ()
 
     def test_recovery_disabled(self):
         reader = _ScriptedReader([FailureKind.SYNC], recovery=False)
-        out = reader._decode_with_recovery(None, None, None)
+        out = reader.run()
         assert not out.ok
         assert len(reader.calls) == 1

@@ -6,6 +6,8 @@ import asyncio
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenario import StreamingConfig, get_scenario
 from repro.streaming import (
@@ -96,6 +98,39 @@ class TestChunkedEquivalence:
         dec.abort_exchange()
         assert not dec.in_exchange
 
+
+
+class TestChunkPartitionProperty:
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_any_partition_matches_one_shot(self, replay, data):
+        # A cold decoder enters the one pipeline at the frame barrier,
+        # so wherever the chunk boundaries fall the result is the
+        # one-shot decode bit for bit.
+        src, caps = replay
+        cap = caps[1]
+        n = cap.rx.size
+        cuts = sorted(data.draw(st.lists(st.integers(1, n - 1),
+                                         unique=True, max_size=12)))
+        bounds = [0, *cuts, n]
+        one_shot = src.built.reader.decode(
+            cap.timeline, cap.rx, src.built.scene.h_env,
+            pa_output=cap.x_pa, rng=_decode_rng(src, 1))
+        streamed = StreamingDecoder(src.built.reader).decode_chunks(
+            cap.timeline, src.built.scene.h_env,
+            (cap.rx[a:b] for a, b in zip(bounds, bounds[1:])),
+            pa_output=cap.x_pa, rng=_decode_rng(src, 1))
+        assert streamed.ok == one_shot.ok
+        assert np.array_equal(streamed.payload_bits, one_shot.payload_bits)
+        assert streamed.symbol_snr_db == one_shot.symbol_snr_db
+        assert streamed.noise_floor_mw == one_shot.noise_floor_mw
+        assert np.array_equal(streamed.cancellation.cleaned,
+                              one_shot.cancellation.cleaned)
+        assert streamed.sync.preamble_start == one_shot.sync.preamble_start
+        assert streamed.sync.metric == one_shot.sync.metric
+        assert np.array_equal(streamed.channel.h_fb, one_shot.channel.h_fb)
+        assert np.array_equal(streamed.mrc.symbols, one_shot.mrc.symbols)
+        assert np.array_equal(streamed.decode.llrs, one_shot.decode.llrs)
 
 class TestWarmStart:
     def test_warm_session_reuses_taps(self, replay):
