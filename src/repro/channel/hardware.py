@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..constants import ADC_BITS, CIRCULATOR_ISOLATION_DB
 from ..utils.conversions import db_to_linear, power
@@ -174,6 +173,10 @@ def ar1_filter(w: np.ndarray, rho: float, prev) -> np.ndarray:
     the batched session synthesizer runs every element's drift process
     in one call, each row bit-identical to its own scalar call.
     """
+    # Imported here: scipy.signal costs ~0.6 s and a service that only
+    # decodes never filters.
+    from scipy.signal import lfilter
+
     w = np.asarray(w)
     rho = float(rho)
     zi = np.broadcast_to(

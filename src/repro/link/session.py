@@ -39,7 +39,8 @@ from ..wifi.receiver import RxResult, WifiReceiver
 from .protocol import ApTimeline, build_ap_transmission
 
 __all__ = ["ExchangeCapture", "SessionResult", "run_backscatter_session",
-           "run_scenario_session", "synthesize_exchange"]
+           "run_scenario_session", "synthesize_ap_transmission",
+           "synthesize_exchange"]
 
 
 @dataclass
@@ -256,44 +257,34 @@ def run_backscatter_session(
     )
 
 
-def synthesize_exchange(
+def synthesize_ap_transmission(
     scene: Scene,
     tag: BackFiTag,
     *,
     psdu: bytes | None = None,
-    payload_bits: np.ndarray | None = None,
-    n_payload_bits: int = 1000,
     wifi_rate_mbps: int = 24,
     wifi_payload_bytes: int = 1500,
     preamble_us: float | None = None,
     pa: PaNonlinearity | None = PaNonlinearity(),
-    backscatter_evm: float = BACKSCATTER_EVM_RMS,
-    tag_speed_m_s: float = 0.0,
     excitation: str = "wifi",
     addressed_tag_id: int | None = None,
-    interferers: list[tuple[BackFiTag, Scene]] | None = None,
-    use_tag_detector: bool = False,
     include_cts: bool = True,
-    faults: FaultPlan | None = None,
-    exchange_index: int = 0,
     rng: np.random.Generator | None = None,
-) -> ExchangeCapture:
-    """Synthesize one exchange's waveforms without decoding anything.
+) -> tuple[ApTimeline, np.ndarray]:
+    """The AP side of one exchange: what the reader itself transmits.
 
-    This is the front half of :func:`run_backscatter_session` -- AP
-    transmission, tag reflection, channels, noise, faults -- consuming
-    the generator stream in exactly the same order, so
-    ``synthesize_exchange(...)`` + ``reader.decode(...)`` with one shared
-    ``rng`` is byte-identical to the one-call session.  The streaming
-    service uses it to stand in for an over-the-air capture that it then
-    ingests chunk by chunk.
+    Draws the excitation burst (non-WiFi excitation only) and the
+    downlink PSDU from ``rng``, builds the AP transmission and applies
+    the PA; returns ``(timeline, x_pa)``.  These are the first draws
+    :func:`synthesize_exchange` makes, so the same generator state gives
+    the exchange's timeline and PA output bit for bit without
+    synthesizing a receive capture.  The streaming service arms its
+    decoder this way: as in BackFi, the reader knows its own
+    transmission and needs only the capture from outside.
     """
     rng = rng or np.random.default_rng()
     if preamble_us is None:
         preamble_us = getattr(tag, "preamble_us", TAG_PREAMBLE_US)
-    fault = faults.realize(exchange_index) if faults is not None else None
-
-    # --- AP transmission -------------------------------------------------
     burst = None
     if excitation == "ble":
         from ..excitation.ble import BleTransmitter
@@ -329,7 +320,56 @@ def synthesize_exchange(
         excitation_samples=burst,
     )
     x = timeline.samples
-    x_pa = pa.apply(x) if pa is not None else x
+    return timeline, pa.apply(x) if pa is not None else x
+
+
+def synthesize_exchange(
+    scene: Scene,
+    tag: BackFiTag,
+    *,
+    psdu: bytes | None = None,
+    payload_bits: np.ndarray | None = None,
+    n_payload_bits: int = 1000,
+    wifi_rate_mbps: int = 24,
+    wifi_payload_bytes: int = 1500,
+    preamble_us: float | None = None,
+    pa: PaNonlinearity | None = PaNonlinearity(),
+    backscatter_evm: float = BACKSCATTER_EVM_RMS,
+    tag_speed_m_s: float = 0.0,
+    excitation: str = "wifi",
+    addressed_tag_id: int | None = None,
+    interferers: list[tuple[BackFiTag, Scene]] | None = None,
+    use_tag_detector: bool = False,
+    include_cts: bool = True,
+    faults: FaultPlan | None = None,
+    exchange_index: int = 0,
+    rng: np.random.Generator | None = None,
+) -> ExchangeCapture:
+    """Synthesize one exchange's waveforms without decoding anything.
+
+    This is the front half of :func:`run_backscatter_session` -- AP
+    transmission (:func:`synthesize_ap_transmission`), tag reflection,
+    channels, noise, faults -- consuming the generator stream in exactly
+    the same order, so ``synthesize_exchange(...)`` +
+    ``reader.decode(...)`` with one shared ``rng`` is byte-identical to
+    the one-call session.  A streaming client uses it to stand in for
+    the over-the-air capture it pushes to the service chunk by chunk.
+    """
+    rng = rng or np.random.default_rng()
+    fault = faults.realize(exchange_index) if faults is not None else None
+    timeline, x_pa = synthesize_ap_transmission(
+        scene, tag,
+        psdu=psdu,
+        wifi_rate_mbps=wifi_rate_mbps,
+        wifi_payload_bytes=wifi_payload_bytes,
+        preamble_us=preamble_us,
+        pa=pa,
+        excitation=excitation,
+        addressed_tag_id=addressed_tag_id,
+        include_cts=include_cts,
+        rng=rng,
+    )
+    x = timeline.samples
 
     # --- tag side ---------------------------------------------------------
     if payload_bits is None:

@@ -1,9 +1,13 @@
 """A stdlib reference client for the streaming decode service.
 
-Drives ``repro serve`` over plain :mod:`http.client`: opens a session,
-announces exchanges, pushes the capture chunk-by-chunk as raw
+Drives ``repro serve`` over one keep-alive HTTP/1.1 socket: opens a
+session, announces exchanges, pushes the capture chunk-by-chunk as raw
 little-endian ``complex128`` bytes, and collects the decode result the
-final chunk's response carries.
+final chunk's response carries.  Each request leaves in one ``sendall``
+(request line, headers and body together), and a response is read by
+its status line and ``Content-Length`` alone -- the service's own
+framing, with neither the two writes nor the full header parse of the
+standard library HTTP client.
 
 Because exchange synthesis is a pure function of ``(scenario, exchange
 index)`` (see :func:`repro.streaming.session.exchange_rngs`), the client
@@ -40,13 +44,13 @@ non-zero with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import http.client
 import json
+import socket
 import sys
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -130,6 +134,10 @@ class RetryPolicy:
                 for a in range(1, self.max_attempts)]
 
 
+_MAX_LINE = 1 << 16
+"""Longest status or header line the client reads from a response."""
+
+
 class ServiceClient:
     """JSON-over-HTTP client for one service connection.
 
@@ -139,7 +147,8 @@ class ServiceClient:
     disconnects, 429/503, ``retryable`` error payloads) reconnect and
     replay automatically -- safe because chunk pushes are idempotent
     when indexed.  ``retry=None`` disables all recovery (the naive
-    arm).
+    arm).  The socket opens on the first request and after every
+    failure, and stays open across requests.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
@@ -149,38 +158,80 @@ class ServiceClient:
         self.port = port
         self.timeout = float(timeout)
         self.retry = retry
-        self.conn = http.client.HTTPConnection(host, port,
-                                               timeout=self.timeout)
+        self._sock: socket.socket | None = None
+        self._rfile: BinaryIO | None = None
         self.retries = 0
         self.reconnects = 0
 
     def close(self) -> None:
-        self.conn.close()
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
     def _reconnect(self) -> None:
-        self.conn.close()
-        self.conn = http.client.HTTPConnection(self.host, self.port,
-                                               timeout=self.timeout)
+        self.close()
         self.reconnects += 1
+
+    def _roundtrip(self, request: bytes) -> tuple[int, bytes]:
+        """Send one framed request; read ``(status, body)`` back."""
+        if self._sock is None:
+            sock = socket.create_connection((self.host, self.port),
+                                            timeout=self.timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock, self._rfile = sock, sock.makefile("rb")
+        self._sock.sendall(request)
+        status_line = self._rfile.readline(_MAX_LINE)
+        if not status_line:
+            raise ConnectionError(
+                "Remote end closed connection without response")
+        version, _, rest = status_line.partition(b" ")
+        if not version.startswith(b"HTTP/") or not rest[:3].isdigit():
+            raise ConnectionError(
+                f"malformed status line {status_line[:80]!r}")
+        length, close = None, False
+        while (line := self._rfile.readline(_MAX_LINE)) not in (b"\r\n",
+                                                               b"\n"):
+            if not line:
+                raise ConnectionError("connection closed inside the "
+                                      "response head")
+            key, _, value = line.partition(b":")
+            key = key.strip().lower()
+            if key == b"content-length" and value.strip().isdigit():
+                length = int(value)
+            elif key == b"connection":
+                close = value.strip().lower() == b"close"
+        if length is None:
+            raise ConnectionError("response without a valid Content-Length")
+        body = self._rfile.read(length)
+        if len(body) < length:
+            raise ConnectionError(f"response body cut short: {len(body)} "
+                                  f"of {length} bytes")
+        if close:
+            self.close()
+        return int(rest[:3]), body
 
     def _once(self, method: str, path: str, body: "bytes | None",
               headers: dict[str, str]) -> dict[str, Any]:
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}\r\n"
+        if body is not None:
+            head += f"Content-Length: {len(body)}\r\n"
+        head += "".join(f"{k}: {v}\r\n" for k, v in headers.items())
+        request = (head + "\r\n").encode("latin-1") + (body or b"")
         try:
-            self.conn.request(method, path, body=body, headers=headers)
-            resp = self.conn.getresponse()
-            payload = json.loads(resp.read().decode() or "{}")
+            status, raw = self._roundtrip(request)
         except TimeoutError as exc:
             self._reconnect()
             raise ServiceTimeout(
                 f"{method} {path} exceeded the {self.timeout:g}s "
                 "deadline") from exc
-        except (http.client.HTTPException, ConnectionError,
-                OSError) as exc:
+        except OSError as exc:
             self._reconnect()
             raise ServiceDisconnect(
                 f"{method} {path} failed: {exc}") from exc
-        if resp.status >= 400:
-            raise ServiceHttpError(method, path, resp.status, payload)
+        payload = json.loads(raw.decode() or "{}")
+        if status >= 400:
+            raise ServiceHttpError(method, path, status, payload)
         return payload
 
     def request(self, method: str, path: str,

@@ -37,7 +37,12 @@ Error mapping: 503 when session admission is refused
 fault wants a retry, 429 when a chunk is shed under backpressure policy
 ``shed``, 404 for unknown sessions, 409 for protocol misuse (chunk
 without an exchange, overrun), 400 for malformed requests.  Retryable
-refusals carry ``"retryable": true`` in the JSON error payload.
+refusals carry ``"retryable": true`` in the JSON error payload.  A
+request head the server cannot frame -- a malformed request line or
+header, a ``Content-Length`` that is not a decimal count (400), a body
+over 64 MiB (413), a head over the stream limit of 64 KiB (431) -- is
+answered and the connection closed, since the byte stream cannot be
+resynchronised.
 
 When the multiplexer carries a :class:`~repro.faults.chaos.ChaosPlan`,
 this layer realises its transport events on arriving chunks: drops
@@ -53,6 +58,7 @@ import asyncio
 import base64
 import hashlib
 import json
+import re
 import threading
 import zlib
 from typing import Any
@@ -87,10 +93,24 @@ DEFAULT_PORT = 8735
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _MAX_BODY = 64 << 20
+_SESSION_ID = re.compile(r"[A-Za-z0-9._~-]{1,64}")
+"""Client-chosen session ids: URL-safe, so every route can address
+them."""
 _REASONS = {200: "OK", 201: "Created", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            409: "Conflict", 429: "Too Many Requests",
+            409: "Conflict", 413: "Content Too Large",
+            429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error", 503: "Service Unavailable"}
+
+
+class _Unframeable(Exception):
+    """A request head the server refuses before routing: answered with
+    ``status``, then the connection closes."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class _ChaosDrop(Exception):
@@ -104,6 +124,24 @@ class _ChaosReset(Exception):
 
 def _json_safe(value: float) -> float | None:
     return None if not np.isfinite(value) else float(value)
+
+
+def _json_object(body: bytes) -> dict[str, Any]:
+    """A request body that must be a JSON object (empty means ``{}``)."""
+    spec = json.loads(body.decode() or "{}")
+    if not isinstance(spec, dict):
+        raise ValueError("request body must be a JSON object")
+    return spec
+
+
+def _field(spec: dict[str, Any], key: str, kind: type, what: str) -> Any:
+    """``spec[key]`` if absent/null or of ``kind`` (JSON booleans are not
+    integers here), else a ``ValueError`` the router answers with 400."""
+    value = spec.get(key)
+    if value is not None and (not isinstance(value, kind)
+                              or (kind is int and isinstance(value, bool))):
+        raise ValueError(f"{key!r} must be {what}")
+    return value
 
 
 def result_summary(result: ReaderResult,
@@ -285,7 +323,13 @@ class StreamingServer:
         self._writers.add(writer)
         try:
             while not self._shutdown.is_set():
-                req = await self._read_request(reader)
+                try:
+                    req = await self._read_request(reader)
+                except _Unframeable as exc:
+                    self._respond(writer, exc.status, {"error": str(exc)},
+                                  close=True)
+                    await writer.drain()
+                    break
                 if req is None:
                     break
                 method, path, headers, body = req
@@ -333,35 +377,44 @@ class StreamingServer:
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader):
-        line = await reader.readline()
-        if not line:
+        """One request: ``(method, path, headers, body)``, or ``None``
+        when the peer closes; raises :class:`_Unframeable`."""
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError:
             return None
-        parts = line.decode("latin-1").split()
+        except asyncio.LimitOverrunError:
+            raise _Unframeable(431, "request head over the 64 KiB limit") \
+                from None
+        line, *lines = head[:-4].decode("latin-1").split("\r\n")
+        parts = line.split()
         if len(parts) < 2:
-            return None
+            raise _Unframeable(400, f"malformed request line {line[:80]!r}")
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
-        while True:
-            h = await reader.readline()
-            if h in (b"\r\n", b"\n", b""):
-                break
-            key, _, value = h.decode("latin-1").partition(":")
+        for h in lines:
+            key, colon, value = h.partition(":")
+            if not colon:
+                raise _Unframeable(400, f"malformed header line {h[:80]!r}")
             headers[key.strip().lower()] = value.strip()
-        n = int(headers.get("content-length", 0) or 0)
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise _Unframeable(400, f"bad Content-Length {length[:80]!r}")
+        n = int(length)
         if n > _MAX_BODY:
-            raise ConnectionError("request body too large")
+            raise _Unframeable(413, f"request body over {_MAX_BODY} bytes")
         body = await reader.readexactly(n) if n else b""
         return method, path, headers, body
 
     @staticmethod
     def _respond(writer: asyncio.StreamWriter, status: int,
-                 payload: dict[str, Any]) -> None:
+                 payload: dict[str, Any], *, close: bool = False) -> None:
         body = json.dumps(payload, allow_nan=False).encode()
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
-            "Connection: keep-alive\r\n\r\n"
+            f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n"
         )
         writer.write(head.encode("latin-1") + body)
 
@@ -422,16 +475,25 @@ class StreamingServer:
         return 404, {"error": f"no route {method} {path}"}
 
     async def _open_session(self, body: bytes) -> tuple[int, dict]:
-        spec = json.loads(body.decode() or "{}")
+        spec = _json_object(body)
         scenario = resolve_scenario(
-            spec.get("scenario") or self.default_scenario)
-        overrides = spec.get("overrides") or []
+            _field(spec, "scenario", str, "a preset name")
+            or self.default_scenario)
+        overrides = _field(spec, "overrides", list,
+                           "a list of key=value strings") or []
+        if not all(isinstance(o, str) for o in overrides):
+            raise ValueError("'overrides' must be a list of key=value "
+                             "strings")
         if overrides:
             scenario = scenario.with_overrides(*overrides)
+        session_id = _field(spec, "session_id", str, "a string")
+        if session_id is not None and not _SESSION_ID.fullmatch(session_id):
+            raise ValueError("'session_id' must be 1-64 of "
+                             "[A-Za-z0-9._~-]")
         session = await self.mux.open_session(
             scenario,
-            session_id=spec.get("session_id"),
-            warm_start=spec.get("warm_start"))
+            session_id=session_id,
+            warm_start=_field(spec, "warm_start", bool, "true or false"))
         return 201, {
             "session": session.id,
             "scenario": scenario.name or "<ad-hoc>",
@@ -453,12 +515,11 @@ class StreamingServer:
         if method == "GET" and not tail:
             return 200, self.mux.session_state(sid)
         if method == "POST" and tail == "exchanges":
-            spec = json.loads(body.decode() or "{}")
-            expected = spec.get("exchange")
+            expected = _field(_json_object(body), "exchange", int,
+                              "an integer")
             self._held.pop(sid, None)
             return 200, await self.mux.start_exchange(
-                sid, expected_index=None if expected is None
-                else int(expected))
+                sid, expected_index=expected)
         if method == "DELETE" and tail == "exchanges":
             self._held.pop(sid, None)
             return 200, await self.mux.abort_exchange(sid)

@@ -5,9 +5,10 @@ reader) to a :class:`~repro.streaming.decoder.StreamingDecoder` and
 keeps the per-session accounting the service reports.  Exchanges come
 from either side of the wire:
 
-* :meth:`StreamSession.start_scenario_exchange` synthesizes the
-  capture server-side (the simulator stands in for the radio front-end),
-  deterministically from ``(scenario, exchange index)``;
+* :meth:`StreamSession.start_scenario_exchange` draws the exchange's
+  AP transmission server-side, deterministically from ``(scenario,
+  exchange index)``: like a BackFi AP, the service knows what it
+  transmitted and takes only the receive capture from the client;
 * :meth:`StreamSession.attach_exchange` accepts an externally
   synthesized exchange (benchmarks, tests, a future real capture path).
 
@@ -15,18 +16,21 @@ Determinism contract: both ends of the wire derive each exchange's
 generators with :func:`exchange_rngs`, a pure function of the scenario
 seed and the exchange index, so a client holding only the scenario name
 can reproduce byte-for-byte what the server decodes
-(:class:`CaptureSource` packages that replay).
+(:class:`CaptureSource` packages that replay: the client synthesizes
+whole captures, the server only their AP side).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from ..link.protocol import ApTimeline
-from ..link.session import ExchangeCapture, synthesize_exchange
+from ..link.session import ExchangeCapture, synthesize_ap_transmission, \
+    synthesize_exchange
 from ..reader.reader import ReaderResult
 from ..scenario import BuiltScenario, ScenarioConfig, resolve_scenario
 from .decoder import StreamingDecoder
@@ -51,13 +55,21 @@ def exchange_rngs(seed: int, index: int
     return synth, decode
 
 
+_AP_KWARGS = frozenset(
+    inspect.signature(synthesize_ap_transmission).parameters) \
+    - {"scene", "tag", "rng"}
+"""The scenario's session keywords that shape the AP transmission."""
+
+
 class CaptureSource:
     """Deterministic replay of one session's exchange captures.
 
     Builds the scenario once (tag queue state persists across exchanges,
     as it would in hardware) and synthesizes exchange ``0, 1, 2, ...``
     on demand.  Server and client each hold their own instance and stay
-    in lockstep by construction.
+    in lockstep by construction: the client draws whole captures with
+    :meth:`next_exchange`, the server only their AP side with
+    :meth:`next_transmission`.
     """
 
     def __init__(self, scenario: "str | ScenarioConfig"):
@@ -74,6 +86,22 @@ class CaptureSource:
             exchange_index=self.index, rng=synth_rng, **kwargs)
         self.index += 1
         return cap, decode_rng
+
+    def next_transmission(self) -> tuple[ApTimeline, np.ndarray,
+                                         np.random.Generator]:
+        """The next exchange's AP side: ``(timeline, x_pa, decode_rng)``.
+
+        The AP block is the prefix of :meth:`next_exchange`'s synthesis
+        stream, so the timeline and PA output equal that capture's bit
+        for bit; the tag, channels and noise are never drawn.
+        """
+        synth_rng, decode_rng = exchange_rngs(self.scenario.seed, self.index)
+        kwargs = self.built.session_kwargs()
+        timeline, x_pa = synthesize_ap_transmission(
+            self.built.scene, self.built.tag, rng=synth_rng,
+            **{k: v for k, v in kwargs.items() if k in _AP_KWARGS})
+        self.index += 1
+        return timeline, x_pa, decode_rng
 
 
 @dataclass
@@ -138,9 +166,6 @@ class StreamSession:
         self.admission_degraded = False
         """Whether the multiplexer downgraded a requested warm admission
         to cold under load (degradation ladder step 2)."""
-        self.capture: ExchangeCapture | None = None
-        """The current exchange's synthesized capture (scenario mode
-        only; ``None`` for attached exchanges)."""
 
     @property
     def exchange_index(self) -> int:
@@ -148,17 +173,17 @@ class StreamSession:
         return self.source.index
 
     def start_scenario_exchange(self) -> int:
-        """Synthesize the next exchange server-side; returns its length.
+        """Arm the next exchange from its AP side; returns its length.
 
-        The capture's receive samples are what the client will push --
-        the simulator standing in for the antenna.  The decoder is armed
-        with the AP-side knowledge only (timeline, channels, PA output).
+        The decoder gets the AP-side knowledge only (timeline, the
+        environment channel, PA output); the receive samples are what
+        the client pushes -- its own synthesis standing in for the
+        antenna.
         """
-        cap, decode_rng = self.source.next_exchange()
-        self.capture = cap
+        timeline, x_pa, decode_rng = self.source.next_transmission()
         n = self.decoder.begin_exchange(
-            cap.timeline, self.source.built.scene.h_env,
-            pa_output=cap.x_pa, rng=decode_rng)
+            timeline, self.source.built.scene.h_env,
+            pa_output=x_pa, rng=decode_rng)
         self.stats.exchanges += 1
         return n
 
@@ -166,7 +191,6 @@ class StreamSession:
                         pa_output: np.ndarray | None = None,
                         rng: np.random.Generator | None = None) -> int:
         """Arm the decoder for an externally synthesized exchange."""
-        self.capture = None
         n = self.decoder.begin_exchange(
             timeline, h_env, pa_output=pa_output, rng=rng)
         self.stats.exchanges += 1

@@ -1,7 +1,14 @@
 """Tests for the CLI and the ASCII plotting utilities."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.cli import build_parser, main
 from repro.experiments.plotting import ascii_cdf, ascii_plot, ascii_scatter
@@ -99,3 +106,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "max throughput vs range" in out
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        """``repro serve`` never filters, so importing the CLI must not
+        pay for ``scipy.signal`` (it is imported where ``lfilter`` runs)."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('scipy.signal')))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

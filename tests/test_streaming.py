@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import Blocker, ClockDrift, DetectorMiss, FaultPlan
 from repro.scenario import StreamingConfig, get_scenario
 from repro.streaming import (
     CaptureSource,
@@ -162,6 +164,39 @@ class TestWarmStart:
         assert dec.warm_reuses == 0
 
 
+class TestApSideAnnounce:
+    """The service arms each exchange from its AP side alone; that draw
+    must be the exact prefix of the client's whole-capture synthesis."""
+
+    @staticmethod
+    def _assert_prefix(sc, exchanges=2):
+        whole, ap_side = CaptureSource(sc), CaptureSource(sc)
+        for _ in range(exchanges):
+            cap, whole_rng = whole.next_exchange()
+            timeline, x_pa, ap_rng = ap_side.next_transmission()
+            assert timeline.samples.tobytes() == cap.timeline.samples.tobytes()
+            assert x_pa.tobytes() == cap.x_pa.tobytes()
+            assert timeline.wifi_start == cap.timeline.wifi_start
+            assert timeline.n_samples == cap.n_samples
+            assert ap_rng.bit_generator.state \
+                == whole_rng.bit_generator.state
+        assert ap_side.index == whole.index == exchanges
+
+    @pytest.mark.parametrize("excitation", ["wifi", "ble", "zigbee", "dsss"])
+    def test_bitwise_prefix_of_synthesize_exchange(self, excitation):
+        sc = get_scenario(SCENARIO).with_overrides(
+            f"link.excitation={excitation}")
+        self._assert_prefix(sc)
+
+    def test_bitwise_prefix_under_a_fault_plan(self):
+        plan = FaultPlan([DetectorMiss(probability=0.5),
+                          Blocker(gain_db=-30.0, probability=0.5),
+                          ClockDrift(probability=1.0)], seed=3)
+        self._assert_prefix(
+            dataclasses.replace(get_scenario(SCENARIO), faults=plan),
+            exchanges=3)
+
+
 class TestChunkRing:
     def test_fifo_and_accounting(self):
         ring = ChunkRing(2)
@@ -190,10 +225,13 @@ def _cfg(**overrides) -> StreamingConfig:
     return StreamingConfig(**base)
 
 
-async def _drive_one(mux: SessionMultiplexer, sid: str):
-    """One full exchange: announce, push the capture, await the decode."""
+async def _drive_one(mux: SessionMultiplexer, sid: str, rx: np.ndarray):
+    """One full exchange: announce, push the capture, await the decode.
+
+    The service draws only the exchange's AP side; ``rx`` is the client's
+    :class:`CaptureSource` replay of the receive capture.
+    """
     opened = await mux.start_exchange(sid)
-    rx = mux._entry(sid).session.capture.rx
     step = opened["chunk_samples"]
     ack = None
     for start in range(0, rx.size, step):
@@ -203,20 +241,21 @@ async def _drive_one(mux: SessionMultiplexer, sid: str):
 
 
 class TestMultiplexer:
-    def test_roundtrip_matches_batch(self):
+    def test_roundtrip_matches_batch(self, replay):
+        src, caps = replay
+        cap = caps[0]
+
         async def go():
             async with SessionMultiplexer(_cfg()) as mux:
                 session = await mux.open_session(get_scenario(SCENARIO))
-                result = await _drive_one(mux, session.id)
+                result = await _drive_one(mux, session.id, cap.rx)
                 closed = await mux.close_session(session.id)
             return result, closed
 
         result, closed = asyncio.run(go())
-        src = CaptureSource(SCENARIO)
-        cap, decode_rng = src.next_exchange()
         batch = src.built.reader.decode(
             cap.timeline, cap.rx, src.built.scene.h_env,
-            pa_output=cap.x_pa, rng=decode_rng)
+            pa_output=cap.x_pa, rng=_decode_rng(src, 0))
         assert result.ok
         assert np.array_equal(result.payload_bits, batch.payload_bits)
         assert closed["decoded"] == 1 and closed["failed"] == 0
@@ -259,14 +298,15 @@ class TestMultiplexer:
 
         asyncio.run(go())
 
-    def test_shed_policy_refuses_when_ring_full(self):
+    def test_shed_policy_refuses_when_ring_full(self, replay):
+        rx = replay[1][0].rx
+
         async def go():
             cfg = _cfg(backpressure="shed", ring_chunks=1)
             async with SessionMultiplexer(cfg) as mux:
                 session = await mux.open_session(get_scenario(SCENARIO))
                 await mux.start_exchange(session.id)
                 entry = mux._entry(session.id)
-                rx = entry.session.capture.rx
                 # Fill the ring directly (no cond notify, so the consumer
                 # stays parked) and watch the next push get refused.
                 assert entry.ring.push(rx[:16])
@@ -277,13 +317,14 @@ class TestMultiplexer:
 
         asyncio.run(go())
 
-    def test_wait_policy_is_lossless_with_tiny_ring(self):
+    def test_wait_policy_is_lossless_with_tiny_ring(self, replay):
+        rx = replay[1][0].rx
+
         async def go():
             cfg = _cfg(ring_chunks=1, chunk_samples=1024)
             async with SessionMultiplexer(cfg) as mux:
                 session = await mux.open_session(get_scenario(SCENARIO))
                 opened = await mux.start_exchange(session.id)
-                rx = mux._entry(session.id).session.capture.rx
                 assert opened["chunk_samples"] == 1024
                 for start in range(0, rx.size, 1024):
                     await mux.push_chunk(sid := session.id,
@@ -296,13 +337,15 @@ class TestMultiplexer:
         assert result.ok
         assert result.payload_bits.size > 0
 
-    def test_fifty_concurrent_sessions(self):
+    def test_fifty_concurrent_sessions(self, replay):
+        rx = replay[1][0].rx
+
         async def go():
             sc = get_scenario(SCENARIO)
             async with SessionMultiplexer(_cfg(max_sessions=50)) as mux:
                 sessions = [await mux.open_session(sc) for _ in range(50)]
                 results = await asyncio.gather(
-                    *[_drive_one(mux, s.id) for s in sessions])
+                    *[_drive_one(mux, s.id, rx) for s in sessions])
                 stats = mux.stats()
             return results, stats
 

@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import hashlib
 import http.client
 import io
 import json
 import socket
+import threading
 import time
+import zlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.scenario import StreamingConfig
 from repro.streaming import (
+    RetryPolicy,
     ServerThread,
     ServiceClient,
+    ServiceDisconnect,
+    ServiceTimeout,
     run_session,
 )
 from repro.telemetry import TelemetryCollector
@@ -24,11 +32,17 @@ SCENARIO = "streaming-50"
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 
+async def _record_loop_errors(errors: list) -> None:
+    asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: errors.append(context))
+
+
 class _Service(ServerThread):
     """One in-process streaming server on a private event-loop thread.
 
     A thin preset over :class:`repro.streaming.ServerThread` (the
-    shipped embedding harness): small session limit, test scenario.
+    shipped embedding harness): small session limit, test scenario, and
+    a loop exception handler that records instead of logging.
     """
 
     def __init__(self, collector: TelemetryCollector | None = None,
@@ -39,6 +53,18 @@ class _Service(ServerThread):
         super().__init__(config=StreamingConfig(**config),
                          default_scenario=SCENARIO,
                          collector=collector)
+        self.loop_errors: list[dict] = []
+
+    def __enter__(self) -> "_Service":
+        super().__enter__()
+        self.submit(_record_loop_errors(self.loop_errors))
+        return self
+
+    def unhandled(self) -> list[dict]:
+        """What reached the loop's exception handler so far (e.g.
+        "Unhandled exception in client_connected_cb")."""
+        self.submit(asyncio.sleep(0))
+        return self.loop_errors
 
 
 def _raw(port: int, method: str, path: str, body: bytes | None = None,
@@ -56,6 +82,45 @@ def _raw(port: int, method: str, path: str, body: bytes | None = None,
 def _json(port: int, method: str, path: str, payload: dict):
     return _raw(port, method, path, json.dumps(payload).encode(),
                 {"Content-Type": "application/json"})
+
+
+def _send_raw(port: int, data: bytes, *, half_close: bool = True,
+              timeout: float = 10.0) -> list[tuple[int, dict]]:
+    """Send ``data`` on a fresh connection, read until the server closes
+    it, and return every ``(status, payload)`` it answered, in order.
+
+    With ``half_close`` the client ends its side after ``data``, so the
+    server must answer or close; without it, only a server that closes
+    by itself lets this return (a hang fails on ``timeout``).
+    """
+    received = bytearray()
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=timeout) as sock:
+        try:
+            sock.sendall(data)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+        except (BrokenPipeError, ConnectionResetError):
+            pass                    # the server refused early and closed
+        while True:
+            try:
+                got = sock.recv(1 << 16)
+            except ConnectionResetError:
+                break               # closed with our input unread
+            if not got:
+                break
+            received += got
+    responses, raw = [], bytes(received)
+    while raw:
+        head, sep, raw = raw.partition(b"\r\n\r\n")
+        assert sep, f"truncated response head {head[:80]!r}"
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        fields = dict(line.lower().split(": ", 1) for line in lines)
+        n = int(fields["content-length"])
+        assert len(raw) >= n, "truncated response body"
+        responses.append((int(status_line.split()[1]), json.loads(raw[:n])))
+        raw = raw[n:]
+    return responses
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +309,330 @@ class TestTelemetryGoldenSchema:
         nested = {s["name"] for s in spans
                   if s["parent_seq"] == top["seq"]}
         assert STAGE_SPANS <= nested
+
+
+def _statuses(responses: list[tuple[int, dict]]) -> list[int]:
+    return [status for status, _ in responses]
+
+
+class TestMalformedRequests:
+    """A head the server cannot frame gets a typed 4xx and a close; the
+    JSON routes refuse bodies that are not objects.  None of it may reach
+    the loop's exception handler."""
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"", b"+5", b"1e3",
+                                        "٣".encode()])
+    def test_bad_content_length_is_400_then_close(self, service, length):
+        got = _send_raw(service.port,
+                        b"POST /sessions HTTP/1.1\r\nContent-Length: "
+                        + length + b"\r\n\r\n{}", half_close=False)
+        assert _statuses(got) == [400]
+        assert "Content-Length" in got[0][1]["error"]
+        assert service.unhandled() == []
+
+    def test_oversized_head_is_431_then_close(self, service):
+        pad = b"X-Pad: " + b"a" * (70 << 10) + b"\r\n"
+        got = _send_raw(service.port,
+                        b"GET /healthz HTTP/1.1\r\n" + pad + b"\r\n",
+                        half_close=False)
+        assert _statuses(got) == [431]
+        assert service.unhandled() == []
+
+    def test_oversized_body_is_413_then_close(self, service):
+        got = _send_raw(service.port,
+                        b"POST /sessions HTTP/1.1\r\nContent-Length: %d"
+                        b"\r\n\r\n" % ((64 << 20) + 1), half_close=False)
+        assert _statuses(got) == [413]
+
+    @pytest.mark.parametrize("data", [
+        b"GARBAGE\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n",
+    ])
+    def test_malformed_lines_are_400_then_close(self, service, data):
+        assert _statuses(_send_raw(service.port, data,
+                                   half_close=False)) == [400]
+        assert service.unhandled() == []
+
+    def test_pipelined_requests_keep_the_connection(self, service):
+        got = _send_raw(service.port, b"GET /healthz HTTP/1.1\r\n\r\n" * 2)
+        assert _statuses(got) == [200, 200]
+
+    @pytest.mark.parametrize("body", [b"[]", b"7", b'"s1"', b"null"])
+    def test_json_routes_refuse_non_objects(self, service, client, body):
+        sid = client.open_session(SCENARIO)["session"]
+        try:
+            assert _raw(service.port, "POST", "/sessions", body)[0] == 400
+            assert _raw(service.port, "POST", f"/sessions/{sid}/exchanges",
+                        body)[0] == 400
+        finally:
+            client.close_session(sid)
+        assert service.unhandled() == []
+
+    @pytest.mark.parametrize("spec", [
+        {"scenario": 7}, {"overrides": "seed=1"}, {"overrides": [1]},
+        {"session_id": 5}, {"session_id": "a/b"}, {"session_id": ""},
+        {"warm_start": "yes"},
+    ])
+    def test_open_session_checks_field_types(self, service, spec):
+        before = service.mux.n_sessions
+        status, payload = _json(service.port, "POST", "/sessions", spec)
+        assert status == 400, payload
+        assert service.mux.n_sessions == before
+
+    def test_exchange_index_must_be_an_integer(self, service, client):
+        sid = client.open_session(SCENARIO)["session"]
+        try:
+            for spec in ({"exchange": [0]}, {"exchange": "0"},
+                         {"exchange": True}, {"exchange": 0.5}):
+                assert _json(service.port, "POST",
+                             f"/sessions/{sid}/exchanges", spec)[0] == 400
+            assert client.session_state(sid)["in_exchange"] is False
+        finally:
+            client.close_session(sid)
+
+
+_LATIN1 = st.characters(max_codepoint=255)
+_FIELD = st.characters(max_codepoint=255, blacklist_characters="\r\n")
+_NAME = st.characters(max_codepoint=255, blacklist_characters="\r\n:")
+_NO_EQUALS = st.characters(max_codepoint=255, blacklist_characters="=")
+
+
+def _fuzz_inputs(sid: str):
+    """Request bytes for one connection: request line, header block
+    (``Content-Length``, ``X-Chunk-Index``, ``X-Chunk-CRC32`` and other
+    fields), and a body that may be cut short or overrun.  One input in
+    two is well framed, so the routes see the values too; the rest has
+    a junk request line, a malformed header line or an oversized head.
+
+    Paths never name ``/shutdown``, the telemetry feeds or the session
+    itself, so no input can stop the service or close ``sid``.
+    """
+    paths = st.sampled_from([
+        "/", "/healthz", "/stats", "/sessions", "/sessions",
+        f"/sessions/{sid}/chunks", f"/sessions/{sid}/chunks",
+        f"/sessions/{sid}/chunks", f"/sessions/{sid}/exchanges",
+        f"/sessions/{sid}/exchanges", "/sessions/ghost/chunks",
+        "/sessions//chunks", "*", "/fuzz",
+    ])
+    numbers = st.integers(-(2 ** 70), 2 ** 70).map(str)
+    values = numbers | st.text(_FIELD, max_size=24)
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers()
+        | st.floats(allow_nan=False) | st.text(_NO_EQUALS, max_size=8),
+        lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+            st.sampled_from(["scenario", "overrides", "session_id",
+                             "warm_start", "exchange", "other"]),
+            kids, max_size=3),
+        max_leaves=6)
+    bodies = st.binary(max_size=96) \
+        | st.integers(0, 6).map(lambda n: bytes(16 * n)) \
+        | json_values.map(lambda v: json.dumps(v).encode())
+
+    @st.composite
+    def one(draw) -> bytes:
+        body = draw(bodies)
+        method = draw(st.sampled_from(["GET", "POST", "POST", "POST", "PUT",
+                                       "DELETE", "get", "P0ST"]))
+        line = f"{method} {draw(paths)} HTTP/1.1"
+        length = draw(st.sampled_from(["exact", "exact", "none", "any"]))
+        fields = []
+        if length != "none":
+            fields.append(("Content-Length", str(len(body))
+                           if length == "exact"
+                           else draw(st.integers(0, 200).map(str) | values)))
+        index = draw(st.none() | st.integers(-2, 12).map(str) | values)
+        if index is not None:
+            fields.append(("X-Chunk-Index", index))
+        crc = draw(st.none() | st.just(zlib.crc32(body)) | values)
+        if crc is not None:
+            fields.append(("X-Chunk-CRC32", crc))
+        fields += draw(st.lists(st.tuples(st.text(_NAME, min_size=1,
+                                                  max_size=12), values),
+                                max_size=2))
+        lines = [f"{k}: {v}" for k, v in fields]
+        flaw = draw(st.sampled_from(["none"] * 4
+                                    + ["line", "header", "oversized"]))
+        if flaw == "line":
+            line = draw(st.text(_LATIN1, max_size=40))
+        elif flaw == "header":
+            lines.append(draw(st.text(_LATIN1, max_size=40)))
+        elif flaw == "oversized":
+            lines.append("X-Pad: " + "a" * (70 << 10))
+        head = "\r\n".join([line, *lines]) + "\r\n\r\n"
+        sent = draw(st.just(len(body)) | st.integers(0, len(body)))
+        tail = draw(st.just(b"") | st.binary(max_size=32))
+        return head.encode("latin-1") + body[:sent] + tail
+
+    return one()
+
+
+class TestInputFuzz:
+    def test_every_input_ends_in_a_4xx_or_a_clean_close(self):
+        threads = threading.active_count()
+        with _Service(max_sessions=4) as svc:
+            client = ServiceClient(port=svc.port)
+            sid = client.open_session(SCENARIO)["session"]
+            client.start_exchange(sid)
+            sessions = svc.mux.n_sessions
+
+            @settings(max_examples=150, deadline=None,
+                      suppress_health_check=[HealthCheck.too_slow,
+                                             HealthCheck.data_too_large])
+            @given(data=_fuzz_inputs(sid))
+            def check(data: bytes) -> None:
+                responses = _send_raw(svc.port, data)
+                for status, payload in responses:
+                    if status == 201:       # a well-formed open: undo it
+                        client.close_session(payload["session"])
+                assert all(status < 500 for status in _statuses(responses)), \
+                    responses
+                assert svc.unhandled() == []
+                assert svc.mux.n_sessions == sessions
+
+            try:
+                check()
+            finally:
+                client.close()
+        assert threading.active_count() == threads
+
+
+_OK = b'{"ok": true}'
+
+
+class _StubPeer:
+    """A scripted HTTP peer for the client transport: one behaviour per
+    accepted connection, in order."""
+
+    def __init__(self, *script: str):
+        self.accepted = 0
+        self.requests: list[bytes] = []
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self.port = self._sock.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, args=(script,),
+                                        daemon=True)
+        self._thread.start()
+
+    def close(self) -> None:
+        self._thread.join(timeout=10)
+        self._sock.close()
+
+    def _serve(self, script) -> None:
+        for mode in script:
+            conn, _ = self._sock.accept()
+            self.accepted += 1
+            with conn:
+                self._behave(conn, mode)
+
+    def _request(self, conn: socket.socket) -> bool:
+        data = b""
+        while b"\r\n\r\n" not in data:
+            got = conn.recv(1 << 16)
+            if not got:
+                return False
+            data += got
+        head = data.partition(b"\r\n\r\n")[0]
+        for line in head.split(b"\r\n"):
+            if line.lower().startswith(b"content-length:"):
+                while len(data) < len(head) + 4 + int(line.split(b":")[1]):
+                    data += conn.recv(1 << 16)
+        self.requests.append(data)
+        return True
+
+    def _behave(self, conn: socket.socket, mode: str) -> None:
+        ok = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+              b"Content-Length: %d\r\n" % len(_OK))
+        if mode == "ok":
+            while self._request(conn):
+                conn.sendall(ok + b"\r\n" + _OK)
+            return
+        if not self._request(conn):
+            return
+        if mode == "ok-close":
+            conn.sendall(ok + b"Connection: close\r\n\r\n" + _OK)
+        elif mode == "short":
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}")
+        elif mode == "no-length":
+            conn.sendall(b"HTTP/1.1 200 OK\r\n\r\n{}")
+        elif mode == "silent":
+            while conn.recv(1 << 16):    # until the client gives up
+                pass
+        # "close": hang up without a response
+
+
+class TestClientTransport:
+    @pytest.mark.parametrize("mode, error", [
+        ("close", ServiceDisconnect),
+        ("short", ServiceDisconnect),
+        ("no-length", ServiceDisconnect),
+        ("silent", ServiceTimeout),
+    ])
+    def test_failure_is_typed_and_the_next_request_reconnects(
+            self, mode, error):
+        peer = _StubPeer(mode, "ok")
+        client = ServiceClient(port=peer.port, timeout=0.5, retry=None)
+        try:
+            with pytest.raises(error) as info:
+                client.healthz()
+            assert client.reconnects == 1
+            assert client.healthz() == {"ok": True}
+            assert client.reconnects == 1
+        finally:
+            client.close()
+            peer.close()
+        assert peer.accepted == 2
+        if mode == "close":
+            assert str(info.value) == ("GET /healthz failed: Remote end "
+                                       "closed connection without response")
+
+    def test_keep_alive_one_write_per_request(self, monkeypatch):
+        writes = []
+        sendall = socket.socket.sendall
+
+        def spy(sock, data, *args):
+            if not bytes(data).startswith(b"HTTP/"):    # not the peer's
+                writes.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", spy)
+        monkeypatch.setattr(socket.socket, "send", None)
+        peer = _StubPeer("ok")
+        client = ServiceClient(port=peer.port, retry=None)
+        body = bytes(range(32))
+        try:
+            assert client.request("POST", "/x", body,
+                                  headers={"X-Chunk-Index": "3"}) \
+                == {"ok": True}
+            assert client.healthz() == {"ok": True}
+        finally:
+            client.close()
+            peer.close()
+        assert peer.accepted == 1 and client.reconnects == 0
+        assert writes == peer.requests
+        first = writes[0]
+        assert first.startswith(b"POST /x HTTP/1.1\r\n")
+        assert b"\r\nContent-Length: 32\r\n" in first
+        assert b"\r\nX-Chunk-Index: 3\r\n" in first
+        assert first.endswith(b"\r\n\r\n" + body)
+
+    def test_connection_close_reopens_without_a_reconnect(self):
+        peer = _StubPeer("ok-close", "ok")
+        client = ServiceClient(port=peer.port, retry=None)
+        try:
+            assert client.healthz() == {"ok": True}
+            assert client.healthz() == {"ok": True}
+        finally:
+            client.close()
+            peer.close()
+        assert peer.accepted == 2 and client.reconnects == 0
+
+    def test_retry_policy_rides_through_a_peer_close(self):
+        peer = _StubPeer("close", "ok")
+        client = ServiceClient(
+            port=peer.port, timeout=5.0,
+            retry=RetryPolicy(base_delay_s=0.001, max_delay_s=0.001))
+        try:
+            assert client.healthz() == {"ok": True}
+        finally:
+            client.close()
+            peer.close()
+        assert client.retries == 1 and client.reconnects == 1
