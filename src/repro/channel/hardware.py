@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..constants import ADC_BITS, CIRCULATOR_ISOLATION_DB
-from ..utils.conversions import db_to_linear, power
+from ..utils.conversions import db_to_linear, power, row_power
 from .noise import complex_normal
 
 __all__ = [
@@ -60,6 +60,10 @@ class PaNonlinearity:
         return self.apply(x) - np.asarray(x, dtype=np.complex128)
 
 
+_AGC_HEADROOM_DB = 9.0
+"""How far the AGC sets the ADC's full scale above the signal RMS."""
+
+
 @dataclass(frozen=True)
 class Adc:
     """Uniform quantiser with a fixed full-scale and resolution.
@@ -95,7 +99,8 @@ class Adc:
         q *= step
         return q[..., 0] + 1j * q[..., 1]
 
-    def for_signal(self, x: np.ndarray, headroom_db: float = 9.0) -> "Adc":
+    def for_signal(self, x: np.ndarray,
+                   headroom_db: float = _AGC_HEADROOM_DB) -> "Adc":
         """An ADC whose full scale sits ``headroom_db`` above signal RMS.
 
         Mimics an AGC that scales the strongest signal component to fit.
@@ -110,19 +115,19 @@ class Adc:
         """AGC then quantise each capture along the last axis.
 
         Leading axes are a stack of captures.  Each row gets the full
-        scale :meth:`for_signal` picks from that row alone (the scalar
-        1-D :func:`~repro.utils.conversions.power`), then the whole stack
-        is clipped and rounded in one pass, so every row equals
+        scale :meth:`for_signal` picks from that row alone (computed for
+        every row at once), then the whole stack is clipped and rounded
+        in one pass, so every row equals
         ``self.for_signal(row).quantize(row)`` bit for bit.  Returns
         ``(quantized, saturated)``; ``saturated`` (leading shape) flags
         rows where some I or Q sample exceeded that row's full scale.
         """
         x = np.ascontiguousarray(x, dtype=np.complex128)
-        full_scale = np.array([
-            self.for_signal(row).full_scale
-            for row in x.reshape(-1, x.shape[-1])
-        ]).reshape(x.shape[:-1] + (1, 1))
-        row_scale = full_scale[..., 0, 0]
+        rms = np.sqrt(row_power(x))
+        row_scale = np.where(
+            rms == 0, self.full_scale,
+            rms * db_to_linear(_AGC_HEADROOM_DB / 2.0) * np.sqrt(2.0))
+        full_scale = row_scale[..., None, None]
         saturated = ((np.max(np.abs(x.real), axis=-1) > row_scale)
                      | (np.max(np.abs(x.imag), axis=-1) > row_scale))
         return self._quantize(x, full_scale), saturated

@@ -247,8 +247,17 @@ def _scenario_from_args(args: argparse.Namespace, *,
         if top:
             sc = sc.replace(**top)
     if getattr(args, "overrides", None):
-        sc = sc.with_overrides(*args.overrides)
+        sc = _with_overrides(sc, args.overrides)
     return sc
+
+
+def _with_overrides(sc, overrides: list[str]):
+    """``sc.with_overrides``; a bad ``--set`` ends the command with one
+    error line instead of a traceback."""
+    try:
+        return sc.with_overrides(*overrides)
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(f"repro: error: {exc.args[0]}") from None
 
 
 def _cmd_info() -> int:
@@ -496,7 +505,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     scenario_name = args.scenario or "streaming-50"
     sc = get_scenario(scenario_name)
     if args.overrides:
-        sc = sc.with_overrides(*args.overrides)
+        sc = _with_overrides(sc, args.overrides)
     cfg = sc.streaming or StreamingConfig()
     flag_over = {
         name: getattr(args, name)

@@ -26,7 +26,6 @@ kept in ``tests/dsp_oracle.py``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "FFT_MIN_TAPS",
@@ -97,8 +96,11 @@ def _overlap_save(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     axes broadcast; FFTs run along the last axis.  Block length is a
     power of two, at least ``8 * len(h)`` (so >= 7/8 of each FFT
     produces output) but never larger than one FFT covering the whole
-    result.
+    result.  ``scipy.fft`` is imported here, not at module load: only
+    filters of ``FFT_MIN_TAPS`` or more taps reach it.
     """
+    import scipy.fft
+
     x = np.asarray(x, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
     n, m = x.shape[-1], h.shape[-1]

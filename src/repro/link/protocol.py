@@ -16,6 +16,7 @@ recovered by the reader's fine timing search).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,24 +82,16 @@ def build_ap_transmission(
     paper's Sec. 1 claim that BackFi is signal-agnostic.
     """
     tx = transmitter or WifiTransmitter()
-    ifs = np.zeros(int(IFS_US * SAMPLES_PER_US), dtype=np.complex128)
-
     parts: list[np.ndarray] = []
     if include_cts and excitation_samples is None:
-        cts = tx.transmit(cts_to_self(), CTS_RATE_MBPS)
-        parts.append(cts.samples)
-        parts.append(ifs)
+        parts.append(_cts_waveform(tx.scrambler_seed))
 
     id_start = sum(p.size for p in parts)
     bits = ap_preamble_bits(tag_id)
     assert bits.size == AP_PREAMBLE_BITS
-    pulse = np.ones(SAMPLES_PER_US, dtype=np.complex128)
-    ook = np.concatenate([
-        pulse * (1.0 if b else 0.0) for b in bits
-    ])
     # The WiFi PPDU follows the identification pulses back-to-back so the
     # tag's silent period lands on the first 16 us of the packet (Fig. 4).
-    parts.append(ook)
+    parts.append(np.repeat(bits.astype(np.complex128), SAMPLES_PER_US))
 
     wifi_start = sum(p.size for p in parts)
     if excitation_samples is not None:
@@ -133,3 +126,15 @@ def build_ap_transmission(
         preamble_us=preamble_us,
         wifi_tx=data,
     )
+
+
+@lru_cache(maxsize=8)
+def _cts_waveform(scrambler_seed: int) -> np.ndarray:
+    """The CTS-to-self PPDU and the gap after it (a constant frame, so
+    built once per scrambler seed; read-only)."""
+    cts = WifiTransmitter(scrambler_seed).transmit(cts_to_self(),
+                                                   CTS_RATE_MBPS)
+    ifs = np.zeros(int(IFS_US * SAMPLES_PER_US), dtype=np.complex128)
+    out = np.concatenate([cts.samples, ifs])
+    out.setflags(write=False)
+    return out

@@ -28,9 +28,8 @@ import numpy as np
 from ..channel.hardware import Adc
 from ..channel.noise import noise_power_mw
 from ..dsp.fastpath import pad_stack, stacked_convolve
-from ..dsp.measurements import residual_power_db
 from ..telemetry import NullCollector, get_collector, probe_rows
-from ..utils.conversions import db_to_linear
+from ..utils.conversions import db_to_linear, row_power
 
 __all__ = [
     "ls_channel_estimate",
@@ -511,5 +510,10 @@ class StagedCancellation:
 
 
 def _depth_db(before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    """:func:`residual_power_db` of each row."""
-    return np.array([residual_power_db(b, a) for b, a in zip(before, after)])
+    """:func:`~repro.dsp.measurements.residual_power_db` of each row, as
+    row-wise reductions."""
+    pb, pa = row_power(before), row_power(after)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = 10.0 * np.log10(pa / pb)       # pa == 0: -inf
+    db[pb == 0] = 0.0
+    return db

@@ -24,6 +24,10 @@ __all__ = ["ChannelEstimate", "estimate_combined_channel",
            "estimate_combined_channel_group", "preamble_condition_number",
            "probe_estimates"]
 
+GRAM_MAX_CONDITION = 1e4
+"""Largest condition number :func:`preamble_condition_number` takes from
+the Gram's eigenvalues (their relative error is ~eps times its square)."""
+
 DEFAULT_N_TAPS = 8
 """Taps for h_fb: indoor delay spreads of 50-80 ns are 1-2 samples per
 link, so the combined channel is comfortably inside 8 taps (400 ns)."""
@@ -55,11 +59,8 @@ def _valid_preamble_rows(preamble_start: int, n_chips: int,
                          guard: int) -> np.ndarray:
     """Row indices inside chips, skipping ``guard`` samples per boundary."""
     sps_chip = int(PREAMBLE_CHIP_US * SAMPLES_PER_US)
-    rows = []
-    for c in range(n_chips):
-        chip_start = preamble_start + c * sps_chip
-        rows.append(np.arange(chip_start + guard, chip_start + sps_chip))
-    return np.concatenate(rows)
+    return (preamble_start + np.arange(n_chips)[:, None] * sps_chip
+            + np.arange(guard, sps_chip)[None, :]).ravel()
 
 
 def preamble_condition_number(
@@ -75,8 +76,12 @@ def preamble_condition_number(
     selection, not on the received signal, so this quantifies how well
     the excitation can identify ``h_fb``: wideband WiFi sits near 1-10,
     narrowband excitations (BLE) reach into the thousands and make the
-    estimate noise-dominated.  Computed on demand as a telemetry probe
-    (see :func:`probe_estimates`).
+    estimate noise-dominated.  Computed as a telemetry probe (see
+    :func:`probe_estimates`) from the ``n_taps x n_taps`` Gram
+    ``A^H A``: its extreme eigenvalues are the squared extreme singular
+    values of ``A``.  Squaring costs the Gram half the precision, so a
+    design worse than :data:`GRAM_MAX_CONDITION` (a narrowband
+    excitation) is measured by the SVD of ``A`` instead.
     """
     from .cancellation import convolution_matrix
 
@@ -86,11 +91,14 @@ def preamble_condition_number(
     rows = rows[rows < x.size]
     if rows.size < n_taps:
         return float("inf")
-    a = convolution_matrix(x, n_taps, rows)
+    # The rows reach back n_taps - 1 samples; only that span is read.
+    lo = max(int(rows[0]) - (n_taps - 1), 0)
+    a = convolution_matrix(x[lo:int(rows[-1]) + 1], n_taps, rows - lo)
+    eig = np.linalg.eigvalsh(a.conj().T @ a)
+    if eig[0] > 0 and eig[-1] <= GRAM_MAX_CONDITION ** 2 * eig[0]:
+        return float(np.sqrt(eig[-1] / eig[0]))
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[-1] <= 0:
-        return float("inf")
-    return float(s[0] / s[-1])
+    return float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
 
 
 def estimate_combined_channel(
@@ -184,8 +192,9 @@ def probe_estimates(sp, ests: list[ChannelEstimate], x: np.ndarray,
                     n_taps: int) -> None:
     """The ``channel_est`` span's probes for estimates sharing a timing.
 
-    Includes the design matrix's condition number -- an extra SVD, so
-    callers only probe when a collector is listening.
+    Includes the design matrix's condition number (an eigen-solve of its
+    ``n_taps x n_taps`` Gram), so callers only probe when a collector is
+    listening.
     """
     probe_rows(sp, "gain_db",
                [10.0 * np.log10(max(e.gain, 1e-30)) for e in ests])

@@ -42,8 +42,10 @@ them exactly as the reference estimator does.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ..constants import SAMPLES_PER_US
 from ..tag.tag import PREAMBLE_CHIP_US
@@ -53,27 +55,38 @@ from .cancellation import DEFAULT_RIDGE
 __all__ = ["BatchPreambleSolver"]
 
 
-def _chip_comb(rows: np.ndarray, weights: np.ndarray, n_blocks: int,
+@lru_cache(maxsize=16)
+def _comb_band(n_chips: int, seed: int | None) -> np.ndarray:
+    """``band[q, q + c] = weights[c]`` for unit weights (``seed=None``)
+    or the chip signs of ``seed``; built once per preamble (read-only)."""
+    weights = np.ones(n_chips) if seed is None \
+        else barker_like_sequence(n_chips, seed=seed)
+    q = np.arange(n_chips)
+    band = np.zeros((n_chips, 2 * n_chips - 1))
+    band[q[:, None], q[:, None] + q[None, :]] = weights
+    band.setflags(write=False)
+    return band
+
+
+def _chip_comb(rows: np.ndarray, band: np.ndarray, n_blocks: int,
                block: int) -> np.ndarray:
     """``out[u] = sum_c weights[c] * rows[u + c * block]``.
 
     ``rows`` holds ``(n_blocks + C - 1) * block`` rows (C = number of
-    weights) of a contiguous table; returns ``n_blocks * block`` rows.
-    Row ``u = q * block + p`` only ever meets rows of the same in-block
-    offset ``p``, so viewing the table as blocks turns the comb into a
-    band-matrix product over the block axis (one BLAS call per chunk of
-    ``C`` output blocks, so the band never outgrows ``C x (2C - 1)``).
-    Complex tables are contracted through their float64 view.
+    weights, ``band`` = :func:`_comb_band` of them) of a contiguous
+    table; returns ``n_blocks * block`` rows.  Row ``u = q * block + p``
+    only ever meets rows of the same in-block offset ``p``, so viewing
+    the table as blocks turns the comb into a band-matrix product over
+    the block axis (one BLAS call per chunk of ``C`` output blocks, so
+    the band never outgrows ``C x (2C - 1)``).  Complex tables are
+    contracted through their float64 view.
     """
-    n_chips = weights.size
+    n_chips = band.shape[0]
     tail = rows.shape[1:]
     flat = rows.reshape(n_blocks + n_chips - 1, -1)
     if np.iscomplexobj(flat):
         flat = flat.view(np.float64)
     out = np.empty((n_blocks, flat.shape[1]))
-    q = np.arange(n_chips)
-    band = np.zeros((n_chips, 2 * n_chips - 1))
-    band[q[:, None], q[:, None] + q[None, :]] = weights
     for q0 in range(0, n_blocks, n_chips):
         m = min(n_chips, n_blocks - q0)
         np.matmul(band[:m, : m + n_chips - 1],
@@ -99,6 +112,7 @@ class BatchPreambleSolver:
     matrix and its ridge -- is built once and shared by the batch; the
     right-hand sides and received energies carry the batch axis, and one
     stacked multi-RHS solve scores every (candidate, element) pair.
+    The comb bands depend on neither and are cached per preamble.
 
     Tables cover the candidate starts in ``start_window`` (inclusive;
     default: the whole capture).  Feasibility mirrors
@@ -121,7 +135,6 @@ class BatchPreambleSolver:
         self.n_taps = t = n_taps
         sps_chip = int(PREAMBLE_CHIP_US * SAMPLES_PER_US)
         n_chips = int(round(preamble_us / PREAMBLE_CHIP_US))
-        self.chips = barker_like_sequence(n_chips, seed=preamble_seed)
         if start_window is None:
             start_window = (0, n)
         lo, hi = self._start_lo, self._start_hi = start_window
@@ -135,21 +148,26 @@ class BatchPreambleSolver:
         # RHS and energy sums of s are the comb entries at v = s.  Row
         # i of the table is sample m0 + i.
         n_v = n_starts + t - 1
-        n_blocks = -(-(n_v + width - 1) // sps_chip)
+        # A filter of sps_chip taps or more leaves no in-chip rows (every
+        # start infeasible); its tables still need n_v rows.
+        n_blocks = -(-(n_v + max(width, 1) - 1) // sps_chip)
         m0 = lo + 1
         n_tab = (n_blocks + n_chips - 1) * sps_chip
         xs = np.zeros(n_tab + t - 1, dtype=np.complex128)
         a, b = max(m0 - t + 1, 0), min(m0 + n_tab, n)
         if b > a:
             xs[a - (m0 - t + 1): b - (m0 - t + 1)] = x[a:b]
-        xw = sliding_window_view(xs, t)[:, ::-1]          # x[m0 + i - k]
         yr = np.zeros((n_tab, self.n_batch), dtype=np.complex128)
         a = max(m0, 0)
         if b > a:
             yr[a - m0: b - m0] = y[:, a:b].T               # y[m0 + i]
 
-        xc = np.conj(xw)
-        lags = xc * xw[:, :1]                               # (rows, t)
+        # conj(x[m0 + i - k]) for every table row i and tap k: one
+        # strided view of the conjugated window, read backwards per row.
+        xsc = np.conj(xs)
+        xc = as_strided(xsc[t - 1:], shape=(n_tab, t),
+                        strides=(xsc.strides[0], -xsc.strides[0]))
+        lags = xc * xs[t - 1:, None]                        # (rows, t)
         # A lag product at m >= n - t + 1 belongs to a row at or past
         # the capture end for some l; those are added back per (s, l)
         # below, so rows past the end are never summed.
@@ -157,12 +175,12 @@ class BatchPreambleSolver:
         rhs = xc[:, :, None] * yr[:, None, :]              # (rows, t, B)
         energy = np.abs(yr) ** 2                            # (rows, B)
 
-        def start_sums(table, weights, n_out, skip=0):
-            comb = _chip_comb(table, weights, n_blocks, sps_chip)
+        def start_sums(table, seed, n_out, skip=0):
+            comb = _chip_comb(table, _comb_band(n_chips, seed), n_blocks,
+                              sps_chip)
             return _window_sum(comb[skip:], width, n_out)
 
-        ones = np.ones(n_chips)
-        lag_sums = start_sums(lags, ones, n_v)              # (n_v, t)
+        lag_sums = start_sums(lags, None, n_v)              # (n_v, t)
         kk, ll = np.tril_indices(t)
         s_idx = np.arange(n_starts)
         lower = lag_sums[s_idx[:, None] + (t - 1) - ll, kk - ll]
@@ -177,8 +195,8 @@ class BatchPreambleSolver:
         diag = np.einsum("skk->sk", gram).real
         self._lam2 = DEFAULT_RIDGE * np.maximum(diag.mean(axis=1), 1e-300)
         gram[:, np.arange(t), np.arange(t)] += self._lam2[:, None]
-        self._rhs = start_sums(rhs, self.chips, n_starts, t - 1)
-        self._ysq = start_sums(energy, ones, n_starts, t - 1)
+        self._rhs = start_sums(rhs, preamble_seed, n_starts, t - 1)
+        self._ysq = start_sums(energy, None, n_starts, t - 1)
 
         # In-chip rows before the capture end, per start.
         row0 = (lo + s_idx)[:, None] + t \

@@ -177,10 +177,11 @@ def replay_offset_selection(
     """The timing search's selection walk over candidate offsets.
 
     ``score(offsets)`` returns the penalised metric of each offset, or
-    ``None`` where the candidate is infeasible; it is called once per
-    sweep -- the coarse grid at :data:`SYNC_STEP`, the single-sample
-    refinement around the coarse winner, then the boundary walk -- and
-    every offset it sees lies inside :func:`candidate_window`.  Ties
+    ``None`` where the candidate is infeasible; it is called once for
+    the coarse grid at :data:`SYNC_STEP`, once for the single-sample
+    refinement around the coarse winner, then once per
+    :data:`SYNC_STEP` offsets of the boundary walk until it stops --
+    and every offset it sees lies inside :func:`candidate_window`.  Ties
     keep the earlier candidate.  Returns ``(metric, offset)`` or
     ``None`` when no coarse candidate is feasible.
     """
@@ -206,11 +207,14 @@ def replay_offset_selection(
     # to the latest offset that still fits -- the true chip boundary.
     # The late-side cliff is orders of magnitude, so this factor cannot
     # overshoot the boundary for wideband excitations; the timing prior
-    # bounds the walk for narrowband ones.
+    # bounds the walk for narrowband ones.  It usually stops within a
+    # few samples, so it scores ``step`` offsets at a time.
     tol = 1.5 * best[0] + 1e-30
-    walk = list(range(best[1] + 1, best[1] + 1 + n_taps + step))
-    for off, m in zip(walk, score(walk)):
-        if m is None or m > tol:
-            break
-        best = (m, off)
+    walk = range(best[1] + 1, best[1] + 1 + n_taps + step)
+    for i in range(0, len(walk), step):
+        chunk = list(walk[i:i + step])
+        for off, m in zip(chunk, score(chunk)):
+            if m is None or m > tol:
+                return best
+            best = (m, off)
     return best

@@ -20,8 +20,13 @@ Design rules that keep scenario runs byte-identical to hand-wiring:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import numbers
+import sys
+import types
+import typing
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any
 
@@ -108,6 +113,66 @@ def fault_plan_from_dict(data: dict[str, Any]) -> FaultPlan:
             )
         events.append(_from_fields(cls, spec, f"fault event {kind!r}"))
     return FaultPlan(events, seed=int(data.get("seed", 0)))
+
+
+_SCALARS: dict[type, tuple[tuple[type, ...], str]] = {
+    bool: ((bool, np.bool_), "true or false"),
+    int: ((numbers.Integral,), "an integer"),
+    float: ((numbers.Real,), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+@functools.cache
+def _field_hints(cls: type) -> dict[str, Any]:
+    """The type hint of each dataclass field of ``cls``, and ``str`` for
+    the ``kind`` tag that names an event's class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)} \
+        | ({"kind": str} if "kind" in hints else {})
+
+
+def _kind_class(cls: type, data: dict[str, Any]) -> type:
+    """The subclass of ``cls`` whose ``kind`` ``data`` names (fault and
+    chaos events), else ``cls`` itself."""
+    stack = [cls]
+    while stack:
+        sub = stack.pop()
+        if getattr(sub, "kind", None) == data.get("kind"):
+            return sub
+        stack.extend(sub.__subclasses__())
+    return cls
+
+
+def _check_value(path: str, hint: Any, value: Any) -> None:
+    """Raise ``ValueError`` naming ``path`` when a parsed value does not
+    fit a field annotated ``hint``: an integer a float holds may set a
+    float, ``X | None`` also takes null, a section takes an object whose
+    fields fit (unknown keys are left to the builders, which name them),
+    and ``tuple[X, ...]`` a list of fitting items."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None:
+            return
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        what, ok = "a list", isinstance(value, (list, tuple))
+        for i, item in enumerate(value if ok else ()):
+            _check_value(f"{path}[{i}]", typing.get_args(hint)[0], item)
+    elif dataclasses.is_dataclass(hint):
+        what, ok = "an object", isinstance(value, (hint, dict))
+        hints = _field_hints(_kind_class(hint, value)) \
+            if isinstance(value, dict) else {}
+        for key in [k for k in hints if k in value]:
+            _check_value(f"{path}.{key}".lstrip("."), hints[key], value[key])
+    else:
+        kinds, what = _SCALARS[hint]
+        ok = isinstance(value, kinds) and (
+            hint is bool or not isinstance(value, (bool, np.bool_)))
+        if ok and hint is float and isinstance(value, numbers.Integral):
+            ok = abs(value) <= sys.float_info.max   # converts to a float
+    if not ok:
+        raise ValueError(f"{path or 'scenario'!r} expects {what}, "
+                         f"got {json.dumps(value, default=repr)}")
 
 
 def _arq_to_dict(arq: ArqConfig) -> dict[str, Any]:
@@ -334,8 +399,10 @@ class ScenarioConfig:
 
         Missing sections fall back to defaults; unknown keys raise, so a
         typo'd override or stale file fails loudly instead of silently
-        configuring nothing.
+        configuring nothing.  A value that does not fit its field's type
+        raises ``ValueError`` naming the field (``link.n_payload_bits``).
         """
+        _check_value("", cls, data)
         data = dict(data)
         kwargs: dict[str, Any] = {}
         for key in ("name", "description", "distance_m",
@@ -399,7 +466,8 @@ class ScenarioConfig:
         the serialized form (``reader.sync_search_us=4``,
         ``tag.modulation=bpsk``, ``distance_m=5``).  Values parse as
         JSON, falling back to a raw string (so ``tag.code_rate=1/2``
-        works without quoting).  Paths must name existing fields.
+        works without quoting).  Paths must name existing fields, and
+        values must fit their fields' types (see :meth:`from_dict`).
         """
         data = self.to_dict()
         for assignment in assignments:

@@ -11,6 +11,7 @@ of data or excitation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,18 +28,22 @@ PREAMBLE_CHIP_US = 1.0
 """Duration of one tag-preamble PN chip [us]."""
 
 
+@lru_cache(maxsize=16)
 def tag_preamble_phases(duration_us: float = TAG_PREAMBLE_US,
                         seed: int = 0x35) -> np.ndarray:
     """Per-sample unit-modulus preamble waveform (BPSK PN chips).
 
     The sequence is pseudo-random with a sharp autocorrelation (paper
     Sec. 4.1) and known to the reader, which uses it both for combined
-    forward-backward channel estimation and fine symbol timing.
+    forward-backward channel estimation and fine symbol timing.  The
+    waveform is cached, so the array is read-only.
     """
     n_chips = int(round(duration_us / PREAMBLE_CHIP_US))
     chips = barker_like_sequence(n_chips, seed=seed)
-    return np.repeat(chips.astype(np.complex128),
-                     int(PREAMBLE_CHIP_US * SAMPLES_PER_US))
+    phases = np.repeat(chips.astype(np.complex128),
+                       int(PREAMBLE_CHIP_US * SAMPLES_PER_US))
+    phases.setflags(write=False)
+    return phases
 
 
 @dataclass

@@ -7,6 +7,8 @@ Throughout the code base a *bit array* is a 1-D ``numpy`` array of dtype
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -68,12 +70,14 @@ def random_bits(n: int, rng: np.random.Generator | None = None) -> np.ndarray:
     return rng.integers(0, 2, size=n, dtype=np.uint8)
 
 
+@lru_cache(maxsize=64)
 def pn_sequence(n: int, seed: int = 0x5A) -> np.ndarray:
     """Deterministic pseudo-noise bit sequence from a 16-bit Fibonacci LFSR.
 
     The taps (16, 14, 13, 11) give a maximal-length sequence; the same
     ``seed`` always yields the same sequence, which is how the tag and the
-    reader share preamble knowledge.
+    reader share preamble knowledge.  Sequences are cached, so the array
+    is read-only.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -87,6 +91,7 @@ def pn_sequence(n: int, seed: int = 0x5A) -> np.ndarray:
         ) & 1
         state = (state >> 1) | (bit << 15)
         out[i] = state & 1
+    out.setflags(write=False)
     return out
 
 

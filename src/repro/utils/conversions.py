@@ -10,6 +10,7 @@ __all__ = [
     "dbm_to_watt",
     "watt_to_dbm",
     "power",
+    "row_power",
     "rms",
     "normalize_power",
     "snr_db",
@@ -48,6 +49,21 @@ def power(x: np.ndarray) -> float:
     if x.size == 0:
         return 0.0
     return float(np.mean(np.abs(x) ** 2))
+
+
+def row_power(x: np.ndarray) -> np.ndarray:
+    """:func:`power` of each row (last axis) of a stack, bit for bit.
+
+    The squared magnitudes are laid out row-major, so each row is summed
+    contiguously -- pairwise, like its own 1-D mean -- whatever the
+    layout of ``x`` (a fancy-indexed column selection is column-major).
+    """
+    x = np.asarray(x)
+    n = x.shape[-1]
+    if n == 0:
+        return np.zeros(x.shape[:-1])
+    # np.mean's own arithmetic: the sum, then a true division by n.
+    return np.add.reduce(np.abs(x, order="C") ** 2, axis=-1) / n
 
 
 def rms(x: np.ndarray) -> float:

@@ -7,6 +7,8 @@ followed by two 64-sample long training symbols (8 us).
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from ..constants import FFT_SIZE
@@ -69,6 +71,9 @@ def long_training_field() -> np.ndarray:
     return np.concatenate([LTF_SYMBOL[-32:], LTF_SYMBOL, LTF_SYMBOL])
 
 
+@cache
 def plcp_preamble() -> np.ndarray:
-    """The full 320-sample (16 us) PLCP preamble."""
-    return np.concatenate([short_training_field(), long_training_field()])
+    """The full 320-sample (16 us) PLCP preamble (built once; read-only)."""
+    out = np.concatenate([short_training_field(), long_training_field()])
+    out.setflags(write=False)
+    return out

@@ -108,17 +108,39 @@ class TestCli:
         assert "max throughput vs range" in out
 
 
+    @pytest.mark.parametrize("override, path", [
+        ("seed=abc", "seed"), ("link=3", "link"), ("nope=1", "nope"),
+        ('link={"n_payload_bits": "x"}', "link.n_payload_bits")])
+    def test_bad_override_is_one_error_line(self, override, path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["link", "--set", override])
+        message = str(info.value.code)
+        assert message.startswith("repro: error: ")
+        assert "\n" not in message
+        assert repr(path) in message
+
+
 class TestImportCost:
-    def test_cli_import_leaves_scipy_signal_unloaded(self):
-        """``repro serve`` never filters, so importing the CLI must not
-        pay for ``scipy.signal`` (it is imported where ``lfilter`` runs)."""
+    @pytest.fixture(scope="class")
+    def loaded(self):
+        """The ``scipy`` modules a fresh ``import repro.cli`` loads."""
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = subprocess.run(
             [sys.executable, "-c",
              "import sys, repro.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m.startswith('scipy.signal')))"],
+             "print('\\n'.join(m for m in sys.modules "
+             "if m.startswith('scipy')))"],
             env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        return out.stdout.split()
+
+    def test_cli_import_leaves_scipy_signal_unloaded(self, loaded):
+        """``repro serve`` never filters, so importing the CLI must not
+        pay for ``scipy.signal`` (it is imported where ``lfilter`` runs)."""
+        assert [m for m in loaded if m.startswith("scipy.signal")] == []
+
+    def test_cli_import_leaves_scipy_fft_unloaded(self, loaded):
+        """Nor for ``scipy.fft``: only the overlap-save convolution of
+        filters of ``FFT_MIN_TAPS`` or more taps imports it."""
+        assert [m for m in loaded if m.startswith("scipy.fft")] == []

@@ -27,10 +27,10 @@ class TestEncoder:
         rate = DownlinkEncoder().raw_rate_bps()
         assert 15e3 < rate < 40e3
 
-    def test_duration_helper(self):
+    def test_duration_helper(self, rng):
         enc = DownlinkEncoder()
         n = 24
-        wave = enc.encode(random_bits(n))
+        wave = enc.encode(random_bits(n, rng))
         # Average-duration estimate within 25% of a random payload.
         assert enc.duration_us(n) == pytest.approx(
             wave.size / 20.0, rel=0.25)

@@ -12,8 +12,13 @@ Three contracts matter here:
   rng draws, byte-identical session results.
 """
 
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel import Scene
 from repro.link import run_backscatter_session
@@ -154,6 +159,76 @@ class TestOverrides:
         base = ScenarioConfig()
         base.with_overrides("distance_m=9")
         assert base.distance_m == 1.0
+
+    @pytest.mark.parametrize("assignment, path", [
+        ("seed=abc", "seed"), ("seed=1.5", "seed"), ("seed=true", "seed"),
+        ("link=3", "link"), ('distance_m="far"', "distance_m"),
+        ("link.include_cts=1", "link.include_cts"),
+        ("link.preamble_us=abc", "link.preamble_us"),
+        ("tag.modulation=7", "tag.modulation"), ("arq=3", "arq"),
+        ("arq.floor_config=[]", "arq.floor_config"),
+        ("faults.events=3", "faults.events"),
+        ('link={"n_payload_bits": "x"}', "link.n_payload_bits"),
+        ('arq.floor_config={"modulation": 3}', "arq.floor_config.modulation"),
+        ('faults.events=[{"kind": "blocker", "gain_db": "x"}]',
+         "faults.events[0].gain_db"),
+        ('chaos={"events": [7]}', "chaos.events[0]"),
+        ('faults.events=[{"kind": []}]', "faults.events[0].kind"),
+        ("tag.symbol_rate_hz=1" + "0" * 400, "tag.symbol_rate_hz"),
+    ])
+    def test_mistyped_value_rejected(self, assignment, path):
+        with pytest.raises(ValueError, match=re.escape(repr(path))):
+            ScenarioConfig().with_overrides(assignment)
+
+    @pytest.mark.parametrize("assignment", [
+        "distance_m=2", "link.preamble_us=96", "link.preamble_us=null",
+        "link.include_cts=false", "streaming.decode_workers=2", "arq=null",
+        "arq={}", "tag.code_rate=1/2",
+    ])
+    def test_fitting_value_accepted(self, assignment):
+        ScenarioConfig().with_overrides(assignment)
+
+    def test_mistyped_scenario_json_rejected(self):
+        data = get_scenario("paper-1m").to_dict()
+        data["reader"]["sync_search_us"] = "wide"
+        with pytest.raises(ValueError, match="'reader.sync_search_us'"):
+            ScenarioConfig.from_json(json.dumps(data))
+        with pytest.raises(ValueError, match="'scenario'"):
+            ScenarioConfig.from_json("[]")
+
+
+def _override_paths(node, prefix=""):
+    """Every dotted path ``with_overrides`` can address in ``node``."""
+    for key, value in node.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _override_paths(value, f"{prefix}{key}.")
+
+
+_FULL = get_scenario("robust-p0.3-arq").replace(
+    streaming=get_scenario("chaos-lab").streaming,
+    chaos=get_scenario("chaos-lab").chaos,
+    network=get_scenario("city-block-1m").network)
+_PATHS = sorted(_override_paths(_FULL.to_dict()))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(sorted({p.rpartition(".")[2] for p in _PATHS}
+                               | {"kind"})) | st.text(max_size=4),
+        inner | st.sampled_from(["blocker", "chunk-drop"]), max_size=4),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(_PATHS), value=_JSON)
+def test_any_override_is_applied_or_a_typed_error(path, value):
+    """Whatever JSON an override carries, ``with_overrides`` returns a
+    scenario or raises ``KeyError``/``ValueError`` (which the service
+    answers with a 400), never another exception."""
+    try:
+        _FULL.with_overrides(f"{path}={json.dumps(value)}")
+    except (KeyError, ValueError):
+        pass
 
 
 class TestRegistry:

@@ -379,6 +379,20 @@ class TestMalformedRequests:
         assert status == 400, payload
         assert service.mux.n_sessions == before
 
+    @pytest.mark.parametrize("override, path", [
+        ("seed=abc", "seed"), ("link=3", "link"),
+        ('distance_m="far"', "distance_m"),
+        ('link={"n_payload_bits": "x"}', "link.n_payload_bits"),
+    ])
+    def test_mistyped_override_is_a_400(self, service, override, path):
+        before = service.mux.n_sessions
+        status, payload = _json(service.port, "POST", "/sessions",
+                                {"overrides": [override]})
+        assert status == 400, payload
+        assert repr(path) in payload["error"]
+        assert service.mux.n_sessions == before
+        assert service.unhandled() == []
+
     def test_exchange_index_must_be_an_integer(self, service, client):
         sid = client.open_session(SCENARIO)["session"]
         try:
@@ -394,7 +408,6 @@ class TestMalformedRequests:
 _LATIN1 = st.characters(max_codepoint=255)
 _FIELD = st.characters(max_codepoint=255, blacklist_characters="\r\n")
 _NAME = st.characters(max_codepoint=255, blacklist_characters="\r\n:")
-_NO_EQUALS = st.characters(max_codepoint=255, blacklist_characters="=")
 
 
 def _fuzz_inputs(sid: str):
@@ -416,9 +429,15 @@ def _fuzz_inputs(sid: str):
     ])
     numbers = st.integers(-(2 ** 70), 2 ** 70).map(str)
     values = numbers | st.text(_FIELD, max_size=24)
+    # Scenario overrides naming real fields, with any value text.
+    overrides = st.tuples(
+        st.sampled_from(["seed", "link", "distance_m", "tag.modulation",
+                         "reader.sync_search_us", "link.preamble_us"]),
+        st.text(_LATIN1, max_size=6)).map("=".join)
     json_values = st.recursive(
         st.none() | st.booleans() | st.integers()
-        | st.floats(allow_nan=False) | st.text(_NO_EQUALS, max_size=8),
+        | st.floats(allow_nan=False) | st.text(_LATIN1, max_size=8)
+        | overrides,
         lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
             st.sampled_from(["scenario", "overrides", "session_id",
                              "warm_start", "exchange", "other"]),

@@ -22,9 +22,13 @@ PSK_MODS = ("bpsk", "qpsk", "16psk")
 class TestQamMapping:
     @pytest.mark.parametrize("mod", QAM_MODS)
     def test_unit_average_power(self, mod):
-        bits = random_bits(BITS_PER_SYMBOL[mod] * 256)
-        symbols = qam_map(bits, mod)
-        assert np.mean(np.abs(symbols) ** 2) == pytest.approx(1.0, rel=0.1)
+        # Every constellation point once: the exact average, not a
+        # sample mean of random bits.
+        k = BITS_PER_SYMBOL[mod]
+        patterns = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+        symbols = qam_map(patterns.astype(np.uint8).ravel(), mod)
+        assert np.unique(symbols).size == 1 << k
+        assert abs(np.mean(np.abs(symbols) ** 2) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("mod", QAM_MODS)
     def test_hard_demap_roundtrip(self, mod):
