@@ -6,7 +6,7 @@ figure-level sweeps stay tractable.
 
 import numpy as np
 
-from repro.coding import ConvolutionalCode, viterbi_decode
+from repro.coding import ConvolutionalCode, viterbi_decode_soft
 from repro.link import build_ap_transmission, run_backscatter_session
 from repro.channel import Scene
 from repro.reader import BackFiReader, ls_channel_estimate, mrc_combine
@@ -21,9 +21,9 @@ def test_viterbi_throughput(benchmark):
     """Viterbi decode rate on a 4k-bit stream."""
     code = ConvolutionalCode("1/2")
     bits = random_bits(4000, RNG)
-    coded = code.encode_with_tail(bits)
+    llrs = 1.0 - 2.0 * code.encode_with_tail(bits).astype(np.float64)
 
-    out = benchmark(viterbi_decode, coded, "1/2", n_info_bits=4000)
+    out = benchmark(viterbi_decode_soft, llrs)
     assert np.array_equal(out, bits)
 
 

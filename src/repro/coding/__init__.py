@@ -9,7 +9,7 @@ from .convolutional import (
 )
 from .interleaver import deinterleave, interleave, interleave_indices
 from .scrambler import descramble, scramble, scrambler_sequence
-from .viterbi import viterbi_decode, viterbi_decode_soft
+from .viterbi import viterbi_decode_soft
 
 __all__ = [
     "CODE_RATES",
@@ -23,6 +23,5 @@ __all__ = [
     "descramble",
     "scramble",
     "scrambler_sequence",
-    "viterbi_decode",
     "viterbi_decode_soft",
 ]

@@ -1,8 +1,9 @@
 """Vectorised Viterbi decoder for the K=7 802.11 convolutional code.
 
-Supports hard decisions and soft (LLR) inputs, and the punctured rates via
-:func:`repro.coding.convolutional.depuncture` (punctured positions carry a
-zero LLR, i.e. no branch-metric contribution).
+Decodes soft (LLR) inputs; hard bits enter as ``1 - 2 * bits``, and the
+punctured rates after :func:`repro.coding.convolutional.depuncture`
+(punctured positions carry a zero LLR, i.e. no branch-metric
+contribution).
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ import numpy as np
 
 from .convolutional import _PARITY, CONSTRAINT, N_STATES, depuncture
 
-__all__ = ["viterbi_decode", "viterbi_decode_soft",
-           "viterbi_decode_soft_batch"]
+__all__ = ["viterbi_decode_soft", "viterbi_decode_soft_batch"]
 
 
 _HALF = N_STATES // 2
@@ -195,33 +195,3 @@ def viterbi_decode_soft_batch(llrs: np.ndarray, *,
     if terminated:
         bits = bits[:, : n_steps - (CONSTRAINT - 1)]
     return (bits, final_metric) if return_metric else bits
-
-
-def viterbi_decode(coded_bits: np.ndarray, rate: str = "1/2", *,
-                   terminated: bool = True,
-                   n_info_bits: int | None = None) -> np.ndarray:
-    """Hard-decision decode of a (possibly punctured) coded bit stream.
-
-    Parameters
-    ----------
-    coded_bits:
-        The received hard bits after puncturing.
-    rate:
-        "1/2", "2/3" or "3/4".
-    terminated:
-        Whether the encoder appended a K-1 zero tail.
-    n_info_bits:
-        Required for punctured rates (to size the mother stream); for
-        rate 1/2 it is inferred from the input length.
-    """
-    coded_bits = np.asarray(coded_bits, dtype=np.float64)
-    if rate == "1/2":
-        n_mother = coded_bits.size
-        llrs = 1.0 - 2.0 * coded_bits
-    else:
-        if n_info_bits is None:
-            raise ValueError("n_info_bits required for punctured rates")
-        total_steps = n_info_bits + (CONSTRAINT - 1 if terminated else 0)
-        n_mother = 2 * total_steps
-        llrs = depuncture(1.0 - 2.0 * coded_bits, rate, n_mother)
-    return viterbi_decode_soft(llrs, terminated=terminated)

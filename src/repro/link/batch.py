@@ -1,46 +1,28 @@
-"""Batched synthesis + decode of exchanges sharing one AP transmission.
+"""The exchange synthesizer: a stack of exchanges off one AP transmission.
 
-The dense-deployment shape of a BackFi sweep is *one* AP transmission
-decoded against many independent channel realisations: the downlink
-packet (and therefore the excitation waveform, protocol timeline and PA
-output) is identical across elements, only the channels, tag payloads
-and noise differ.  The per-trial path re-synthesizes that shared
-excitation for every element -- ``build_ap_transmission`` alone costs
-more than the whole decode -- and then decodes each capture as a stack
-of one.
+:func:`synthesize_stack` synthesizes one BackFi exchange per row -- the
+AP's packet reaches the tag over ``h_f``, the tag phase-modulates its
+reflection, and the reader hears its own leakage over ``h_env`` plus the
+reflection over ``h_b``, in noise -- for rows that share one AP
+transmission ``(timeline, x_pa)``, each with its own scene, tag and
+generator.  It is the only exchange synthesizer:
+:func:`~repro.link.session.synthesize_exchange` is it on a stack of one,
+and :func:`run_exchange_batch` groups its elements by transmission key
+(addressed tag id, preamble, TX power) and synthesizes and decodes each
+group as one stack.  The channels run over the stack through
+:func:`~repro.dsp.fastpath.stacked_convolve`, and the drift processes
+through one :func:`~repro.channel.hardware.ar1_filter` call per AR(1)
+pole, over that pole's rows.  Each row draws on its own generator in
+the scalar order (payload bits, interferer payloads, env drift,
+Doppler, EVM, AWGN), so ``rngs`` must be independent per-row
+generators.
 
-:func:`run_exchange_batch` is the batched equivalent of
-
-.. code-block:: python
-
-    [run_backscatter_session(scenes[b], tags[b], reader,
-                             psdu=psdu, rng=rngs[b], ...)
-     for b in range(n)]
-
-with the AP transmission built once, the channel convolutions applied
-to the whole stack through
-:func:`~repro.dsp.fastpath.stacked_convolve`, and the whole stack
-decoded by :class:`~repro.reader.batch.BatchedDecoder` -- the same reader
-pipeline ``reader.decode`` runs on a stack of one, so the excitation-side
-factorisations are shared by the stack.
-
-Equivalence contract (asserted by ``tests/test_link_batch.py``): decoded
-bits, ``ok`` flags and payloads match the scalar loop exactly; float
-diagnostics match to rtol ``1e-10``.  Each element's generator draws
-happen in the scalar path's order on that element's own ``rngs[b]``
-(payload bits -> env drift -> backscatter EVM -> AWGN -> analog
-cancellation error), so the contract requires ``rngs`` to be
-independent per-element generators (the
-:func:`~repro.experiments.engine.spawn_rngs` shape) -- sharing one
-generator object across elements interleaves streams differently from
-the loop.
-
-Options the batch cannot share -- non-WiFi excitation, interfering
-tags, fault plans, tag mobility, the real wake-up detector, client
-decode, or elements that disagree on the transmission parameters
-(tag id, preamble length, TX power) -- transparently fall back to the
-scalar loop.  A batch that falls back for disagreeing elements counts
-``link.batch_scalar_fallback`` on the telemetry collector.
+A stack of one is bit for bit the scalar synthesis it replaced (kept in
+``tests/synthesis_oracle.py``).  In a bigger stack, decoded bits,
+``ok`` flags and payloads match the per-element loop exactly and floats
+to rtol 1e-10 (``tests/test_link_batch.py``): numpy rounds a complex
+product by operand order, which it swaps when it reuses a temporary of
+256 KiB or more.
 """
 
 from __future__ import annotations
@@ -50,13 +32,15 @@ from typing import Sequence
 import numpy as np
 
 from ..channel.environment import Scene
+from ..channel.doppler import backscatter_fading
 from ..channel.hardware import (
     PaNonlinearity,
     ar1_drift_params,
     ar1_filter,
-    coherence_impairment,
+    coherence_impairment,  # bound only for the frozen perfbench tracer
     draw_ar1_innovations,
 )
+from ..channel.multipath import apply_channel
 from ..channel.noise import awgn
 from ..constants import (
     BACKSCATTER_EVM_COHERENCE_US,
@@ -65,12 +49,154 @@ from ..constants import (
     TAG_PREAMBLE_US,
 )
 from ..dsp.fastpath import pad_stack, stacked_convolve
-from ..tag.tag import BackFiTag
-from ..telemetry import get_collector
-from .protocol import build_ap_transmission
-from .session import SessionResult, run_backscatter_session
+from ..faults import FaultPlan
+from ..tag.detector import DetectionResult
+from ..tag.tag import BackFiTag, BackscatterPlan
+from .protocol import (
+    ApTimeline,
+    build_ap_transmission,  # bound only for the frozen perfbench tracer
+)
+from .session import ExchangeCapture, SessionResult, synthesize_ap_transmission
 
-__all__ = ["run_exchange_batch"]
+__all__ = ["run_exchange_batch", "synthesize_stack"]
+
+
+def synthesize_stack(
+    transmission: tuple[ApTimeline, np.ndarray],
+    scenes: Sequence[Scene],
+    tags: Sequence[BackFiTag],
+    rngs: Sequence[np.random.Generator],
+    *,
+    payload_bits: np.ndarray | None = None,
+    n_payload_bits: int = 1000,
+    backscatter_evm: float = BACKSCATTER_EVM_RMS,
+    tag_speed_m_s: float = 0.0,
+    interferers: list[tuple[BackFiTag, Scene]] | None = None,
+    use_tag_detector: bool = False,
+    faults: FaultPlan | None = None,
+    exchange_index: int = 0,
+) -> tuple[np.ndarray, list[ExchangeCapture]]:
+    """Synthesize one exchange per (scene, tag, rng) row of a stack.
+
+    ``transmission`` is the shared ``(timeline, x_pa)`` pair of
+    :func:`~repro.link.session.synthesize_ap_transmission`; the options
+    are :func:`~repro.link.session.synthesize_exchange`'s tag-side ones
+    and apply to every row (each row realizes its own copy of
+    ``faults``, and ``interferers`` react in every row, in row order).
+    Returns the ``(n, n_samples)`` receive stack and one
+    :class:`~repro.link.session.ExchangeCapture` per row, whose ``rx``
+    is that row of the stack.
+    """
+    timeline, x_pa = transmission
+    n, n_samp = len(scenes), x_pa.size
+
+    def conv(h_stack: np.ndarray, sig: np.ndarray) -> np.ndarray:
+        return stacked_convolve(sig, h_stack)[..., :n_samp]
+
+    # --- tag side, row by row (payload and interferer draws) ----------
+    z_tag = conv(pad_stack([s.h_f for s in scenes]), x_pa)
+    wake = None if use_tag_detector else timeline.wifi_start
+    rows = []
+    reflections = np.empty((n, n_samp), dtype=np.complex128)
+    interference = np.zeros((n if interferers else 1, n_samp),
+                            dtype=np.complex128)
+    for b in range(n):
+        fault = None if faults is None else faults.realize(exchange_index)
+        bits = payload_bits if payload_bits is not None else \
+            rngs[b].integers(0, 2, size=n_payload_bits, dtype=np.uint8)
+        tags[b].queue_data(bits)
+        if fault is not None and fault.detector_miss:
+            # The wake-up detector slept through the AP preamble: the
+            # tag never reflects and its queued data stays in memory.
+            plan = BackscatterPlan(
+                reflection=np.zeros(n_samp, dtype=np.complex128),
+                detection=DetectionResult(detected=False),
+            )
+        else:
+            plan = tags[b].backscatter(z_tag[b], wake_index=wake)
+        reflection = plan.reflection
+        if fault is not None:
+            reflection = fault.apply_reflection(reflection,
+                                                timeline.wifi_start)
+        reflections[b] = reflection
+        for other_tag, other_scene in interferers or ():
+            if other_tag.pending_bits == 0:
+                other_tag.queue_data(rngs[b].integers(0, 2, size=1000,
+                                                      dtype=np.uint8))
+            z_other = apply_channel(other_scene.h_f, x_pa)
+            other_plan = other_tag.backscatter(
+                z_other, wake_index=timeline.wifi_start)
+            interference[b] += apply_channel(
+                other_scene.h_b, z_other * other_plan.reflection)
+        rows.append((bits, plan, reflection, fault))
+
+    # --- reader receive: channels over the stack, draws row by row ----
+    si = conv(pad_stack([s.h_env for s in scenes]), x_pa)
+    backscatter = conv(pad_stack([s.h_b for s in scenes]),
+                       z_tag * reflections)
+    drift_rows: dict[float, list[int]] = {}     # rows per AR(1) pole
+    w_env = np.empty((n, n_samp), dtype=np.complex128)
+    prev_env = np.empty(n, dtype=np.complex128)
+    if backscatter_evm > 0:
+        rho_evm, scale_evm = ar1_drift_params(
+            backscatter_evm, BACKSCATTER_EVM_COHERENCE_US * SAMPLES_PER_US)
+        w_evm = np.empty((n, n_samp), dtype=np.complex128)
+        prev_evm = np.empty(n, dtype=np.complex128)
+    noise = np.empty((n, n_samp), dtype=np.complex128)
+    for b, scene in enumerate(scenes):
+        env_rms = scene.config.env_drift_rms
+        if env_rms > 0:
+            rho_env, scale = ar1_drift_params(
+                env_rms, scene.config.env_drift_coherence_us * SAMPLES_PER_US)
+            drift_rows.setdefault(rho_env, []).append(b)
+            _, prev_env[b] = draw_ar1_innovations(
+                n_samp, env_rms, scale, rngs[b], out=w_env[b])
+        fault = rows[b][3]
+        if fault is not None:
+            backscatter[b] = fault.apply_backscatter(backscatter[b])
+        if tag_speed_m_s > 0:
+            backscatter[b] = backscatter[b] * backscatter_fading(
+                n_samp, tag_speed_m_s, rng=rngs[b])
+        if backscatter_evm > 0:
+            _, prev_evm[b] = draw_ar1_innovations(
+                n_samp, backscatter_evm, scale_evm, rngs[b], out=w_evm[b])
+        awgn(n_samp, scene.noise_floor_mw, rngs[b], out=noise[b])
+
+    # Keep these products exactly as written: numpy's SIMD complex
+    # multiply rounds by operand order, and it evaluates
+    # ``si * (1.0 + g)`` in place as ``t *= si`` only when the temporary
+    # ``t`` is large enough to elide.  A pole shared by every row takes
+    # the whole stack, as the scalar synthesis took its one row.
+    for rho_env, idx in drift_rows.items():
+        if len(idx) == n:
+            si = si * (1.0 + ar1_filter(w_env, rho_env, prev_env))
+        else:
+            si[idx] = si[idx] * (1.0 + ar1_filter(w_env[idx], rho_env,
+                                                  prev_env[idx]))
+    if backscatter_evm > 0:
+        backscatter = backscatter * (
+            1.0 + ar1_filter(w_evm, rho_evm, prev_evm))
+    # si + backscatter + interference + noise, summed in place; into
+    # si's buffer when the drift gain gave it one of its own.
+    y = np.add(si, backscatter, out=si if si.flags.owndata else None)
+    y += interference
+    y += noise
+
+    captures = []
+    for b, (bits, plan, reflection, fault) in enumerate(rows):
+        if fault is not None:
+            y[b] = fault.apply_rx(y[b], scenes[b].noise_floor_mw)
+        captures.append(ExchangeCapture(
+            timeline=timeline,
+            plan=plan,
+            payload_bits=bits,
+            x_pa=x_pa,
+            rx=y[b],
+            z_tag=z_tag[b],
+            reflection=reflection,
+            injected_faults=() if fault is None else tuple(fault.injected),
+        ))
+    return y, captures
 
 
 def run_exchange_batch(
@@ -91,178 +217,54 @@ def run_exchange_batch(
 ) -> list[SessionResult]:
     """Run one exchange per (scene, tag, rng) triple off a shared PSDU.
 
-    Parameters
-    ----------
-    psdu:
-        The shared downlink WiFi payload bytes.  Required: the batch's
-        whole premise is one AP transmission across all elements (draw
-        it once with :func:`~repro.wifi.frames.random_payload` and
-        reuse it, or forward a sweep's fixed packet).
-    rngs:
-        One independent generator per element; each element's draws
-        land on its own generator in the scalar session's order.
+    The batched ``[run_backscatter_session(scenes[b], tags[b], reader,
+    psdu=psdu, rng=rngs[b], ...) for b in range(n)]``: elements that
+    share a transmission key (addressed tag id, preamble length, TX
+    power) share one AP transmission -- the same timeline object -- one
+    :func:`synthesize_stack` call and one batched decode.  ``psdu`` is
+    required (draw it once with
+    :func:`~repro.wifi.frames.random_payload`); ``rngs`` holds one
+    independent generator per element.
     """
     n = len(scenes)
     if len(tags) != n or len(rngs) != n:
         raise ValueError("scenes, tags and rngs must have equal length")
-    if n == 0:
-        return []
-    psdu = bytes(psdu)
-
-    def _scalar_loop() -> list[SessionResult]:
-        return [
-            run_backscatter_session(
-                scenes[b], tags[b], reader,
-                psdu=psdu,
-                payload_bits=payload_bits,
-                n_payload_bits=n_payload_bits,
-                wifi_rate_mbps=wifi_rate_mbps,
-                preamble_us=preamble_us,
-                pa=pa,
-                backscatter_evm=backscatter_evm,
-                addressed_tag_id=addressed_tag_id,
-                include_cts=include_cts,
-                rng=rngs[b],
-            )
-            for b in range(n)
-        ]
-
-    # The timeline is shared only when every element would build the
-    # same one; anything element-specific drops to the scalar loop.
-    pre_us = preamble_us if preamble_us is not None else \
-        getattr(tags[0], "preamble_us", TAG_PREAMBLE_US)
-    tid = tags[0].tag_id if addressed_tag_id is None else addressed_tag_id
-    shareable = all(
-        (addressed_tag_id is not None or t.tag_id == tid)
-        and (preamble_us is not None
-             or getattr(t, "preamble_us", TAG_PREAMBLE_US) == pre_us)
-        for t in tags
-    ) and all(s.tx_power_mw == scenes[0].tx_power_mw for s in scenes)
-    if not shareable:
-        get_collector().count("link.batch_scalar_fallback")
-        return _scalar_loop()
-
-    # --- shared AP transmission (built once) ---------------------------
-    timeline = build_ap_transmission(
-        psdu, wifi_rate_mbps,
-        tag_id=tid,
-        preamble_us=pre_us,
-        tx_power_mw=scenes[0].tx_power_mw,
-        include_cts=include_cts,
-    )
-    x = timeline.samples
-    x_pa = pa.apply(x) if pa is not None else x
-    n_samp = x.size
-
-    # --- per-element payload draws (first draw in the scalar order) ----
-    payloads = []
-    for b in range(n):
-        bits = payload_bits if payload_bits is not None else \
-            rngs[b].integers(0, 2, size=n_payload_bits, dtype=np.uint8)
-        payloads.append(bits)
-
-    # --- channels applied to the whole stack ---------------------------
-    # Tap-accumulation convolutions (float64-rounding equivalence to
-    # the scalar apply_channel; see stacked_convolve).
-    def conv(h_stack: np.ndarray, sig: np.ndarray) -> np.ndarray:
-        return stacked_convolve(sig, h_stack)[..., :n_samp]
-
-    z_tag = conv(pad_stack([s.h_f for s in scenes]), x_pa)
-    plans = []
-    reflections = np.empty((n, n_samp), dtype=np.complex128)
-    for b in range(n):
-        tags[b].queue_data(payloads[b])
-        plan = tags[b].backscatter(z_tag[b],
-                                   wake_index=timeline.wifi_start)
-        plans.append(plan)
-        reflections[b] = plan.reflection
-    si = conv(pad_stack([s.h_env for s in scenes]), x_pa)
-    backscatter = conv(pad_stack([s.h_b for s in scenes]),
-                       z_tag * reflections)
-
-    # --- impairments and noise (per-element draws, scalar order) -------
-    # The scalar session adds a zero interference vector before the
-    # noise; do the same so the float accumulation is identical.
-    zero = np.zeros(n_samp, dtype=np.complex128)
-    env_keys = {(s.config.env_drift_rms, s.config.env_drift_coherence_us)
-                for s in scenes}
-    if len(env_keys) == 1:
-        # One drift process across the batch (the common sweep-cell
-        # shape): draw per element in the scalar order, each straight
-        # into its row of the stack, then run both AR(1) recursions and
-        # the accumulation as stacked calls.  Each row's recursion and
-        # multiply are elementwise-identical to its scalar counterpart,
-        # so bits are preserved.
-        (env_rms, env_coh_us), = env_keys
-        evm_on = backscatter_evm > 0
-        if env_rms > 0:
-            rho_env, scale_env = ar1_drift_params(
-                env_rms, env_coh_us * SAMPLES_PER_US)
-            w_env = np.empty((n, n_samp), dtype=np.complex128)
-            prev_env = np.empty(n, dtype=np.complex128)
-        if evm_on:
-            rho_evm, scale_evm = ar1_drift_params(
-                backscatter_evm,
-                BACKSCATTER_EVM_COHERENCE_US * SAMPLES_PER_US)
-            w_evm = np.empty((n, n_samp), dtype=np.complex128)
-            prev_evm = np.empty(n, dtype=np.complex128)
-        noise = np.empty((n, n_samp), dtype=np.complex128)
-        for b in range(n):
-            if env_rms > 0:
-                _, prev_env[b] = draw_ar1_innovations(
-                    n_samp, env_rms, scale_env, rngs[b], out=w_env[b])
-            if evm_on:
-                _, prev_evm[b] = draw_ar1_innovations(
-                    n_samp, backscatter_evm, scale_evm, rngs[b],
-                    out=w_evm[b])
-            awgn(n_samp, scenes[b].noise_floor_mw, rngs[b], out=noise[b])
-        # Keep these products exactly as written: numpy's SIMD complex
-        # multiply rounds by operand order, and it evaluates
-        # ``si * (1.0 + g)`` in place as ``t *= si`` only when the
-        # temporary ``t`` is large enough to elide, so an explicit
-        # operand order would change last bits at some stack sizes.
-        if env_rms > 0:
-            si = si * (1.0 + ar1_filter(w_env, rho_env, prev_env))
-        if evm_on:
-            backscatter = backscatter * (
-                1.0 + ar1_filter(w_evm, rho_evm, prev_evm))
-        # si + backscatter + zero + noise, summed in place; into si's
-        # buffer when the drift gain gave it a contiguous one of its own.
-        y = np.add(si, backscatter, out=si if env_rms > 0 else None)
-        y += zero
-        y += noise
-    else:
-        y = np.empty((n, n_samp), dtype=np.complex128)
-        for b in range(n):
-            cfg = scenes[b].config
-            si_b = si[b]
-            if cfg.env_drift_rms > 0:
-                si_b = si_b * coherence_impairment(
-                    n_samp, cfg.env_drift_rms,
-                    cfg.env_drift_coherence_us * SAMPLES_PER_US, rngs[b],
-                )
-            bs_b = backscatter[b]
-            if backscatter_evm > 0:
-                bs_b = bs_b * coherence_impairment(
-                    n_samp, backscatter_evm,
-                    BACKSCATTER_EVM_COHERENCE_US * SAMPLES_PER_US, rngs[b],
-                )
-            noise = awgn(n_samp, scenes[b].noise_floor_mw, rngs[b])
-            y[b] = si_b + bs_b + zero + noise
-
-    # --- batched decode ------------------------------------------------
     from ..reader.batch import BatchedDecoder
 
-    results = BatchedDecoder(reader).decode_batch(
-        timeline, y, [s.h_env for s in scenes],
-        pa_output=x_pa, rngs=list(rngs),
-    )
-    return [
-        SessionResult(
-            timeline=timeline,
-            plan=plans[b],
-            reader=results[b],
-            payload_bits=payloads[b],
+    psdu = bytes(psdu)
+    groups: dict[tuple, list[int]] = {}
+    for b, (scene, tag) in enumerate(zip(scenes, tags)):
+        key = (tag.tag_id if addressed_tag_id is None else addressed_tag_id,
+               preamble_us if preamble_us is not None
+               else getattr(tag, "preamble_us", TAG_PREAMBLE_US),
+               scene.tx_power_mw)
+        groups.setdefault(key, []).append(b)
+    out: list[SessionResult] = [None] * n
+    for idx in groups.values():
+        timeline, x_pa = synthesize_ap_transmission(
+            scenes[idx[0]], tags[idx[0]],
+            psdu=psdu,
+            wifi_rate_mbps=wifi_rate_mbps,
+            preamble_us=preamble_us,
+            pa=pa,
+            addressed_tag_id=addressed_tag_id,
+            include_cts=include_cts,
+            rng=rngs[idx[0]],
         )
-        for b in range(n)
-    ]
+        y, captures = synthesize_stack(
+            (timeline, x_pa),
+            [scenes[b] for b in idx], [tags[b] for b in idx],
+            [rngs[b] for b in idx],
+            payload_bits=payload_bits,
+            n_payload_bits=n_payload_bits,
+            backscatter_evm=backscatter_evm,
+        )
+        results = BatchedDecoder(reader).decode_batch(
+            timeline, y, [scenes[b].h_env for b in idx],
+            pa_output=x_pa, rngs=[rngs[b] for b in idx],
+        )
+        for b, cap, result in zip(idx, captures, results):
+            out[b] = SessionResult(timeline=timeline, plan=cap.plan,
+                                   reader=result,
+                                   payload_bits=cap.payload_bits)
+    return out

@@ -17,18 +17,12 @@ from ..channel.environment import Scene
 from ..channel.hardware import (
     PaNonlinearity,
     carrier_frequency_offset,
-    coherence_impairment,
+    coherence_impairment,  # bound only for the frozen perfbench tracer
 )
 from ..channel.multipath import apply_channel
 from ..channel.noise import awgn
-from ..constants import (
-    BACKSCATTER_EVM_COHERENCE_US,
-    BACKSCATTER_EVM_RMS,
-    SAMPLES_PER_US,
-    TAG_PREAMBLE_US,
-)
+from ..constants import BACKSCATTER_EVM_RMS, TAG_PREAMBLE_US
 from ..faults import FaultPlan
-from ..tag.detector import DetectionResult
 from ..tag.tag import BackFiTag, BackscatterPlan
 
 if TYPE_CHECKING:  # avoids a circular import; reader depends on link
@@ -347,17 +341,18 @@ def synthesize_exchange(
 ) -> ExchangeCapture:
     """Synthesize one exchange's waveforms without decoding anything.
 
-    This is the front half of :func:`run_backscatter_session` -- AP
-    transmission (:func:`synthesize_ap_transmission`), tag reflection,
-    channels, noise, faults -- consuming the generator stream in exactly
-    the same order, so ``synthesize_exchange(...)`` +
-    ``reader.decode(...)`` with one shared ``rng`` is byte-identical to
-    the one-call session.  A streaming client uses it to stand in for
-    the over-the-air capture it pushes to the service chunk by chunk.
+    The front half of :func:`run_backscatter_session`: the AP
+    transmission (:func:`synthesize_ap_transmission`), then the one
+    exchange synthesizer, :func:`repro.link.batch.synthesize_stack`, on
+    a stack of one.  ``synthesize_exchange(...)`` + ``reader.decode(...)``
+    with one shared ``rng`` is byte-identical to the one-call session.
+    A streaming client uses it to stand in for the over-the-air capture
+    it pushes to the service chunk by chunk.
     """
+    from .batch import synthesize_stack
+
     rng = rng or np.random.default_rng()
-    fault = faults.realize(exchange_index) if faults is not None else None
-    timeline, x_pa = synthesize_ap_transmission(
+    transmission = synthesize_ap_transmission(
         scene, tag,
         psdu=psdu,
         wifi_rate_mbps=wifi_rate_mbps,
@@ -369,77 +364,18 @@ def synthesize_exchange(
         include_cts=include_cts,
         rng=rng,
     )
-    x = timeline.samples
-
-    # --- tag side ---------------------------------------------------------
-    if payload_bits is None:
-        payload_bits = rng.integers(0, 2, size=n_payload_bits,
-                                    dtype=np.uint8)
-    tag.queue_data(payload_bits)
-    z_tag = apply_channel(scene.h_f, x_pa)
-    wake = None if use_tag_detector else timeline.wifi_start
-    if fault is not None and fault.detector_miss:
-        # The wake-up detector slept through the AP preamble: the tag
-        # never reflects and its queued data stays in memory.
-        plan = BackscatterPlan(
-            reflection=np.zeros(x.size, dtype=np.complex128),
-            detection=DetectionResult(detected=False),
-        )
-    else:
-        plan = tag.backscatter(z_tag, wake_index=wake)
-    reflection = plan.reflection
-    if fault is not None:
-        reflection = fault.apply_reflection(reflection,
-                                            timeline.wifi_start)
-
-    # --- interfering tags ----------------------------------------------
-    interference = np.zeros(x.size, dtype=np.complex128)
-    for other_tag, other_scene in (interferers or []):
-        if other_tag.pending_bits == 0:
-            other_tag.queue_data(rng.integers(0, 2, size=1000,
-                                              dtype=np.uint8))
-        z_other = apply_channel(other_scene.h_f, x_pa)
-        other_plan = other_tag.backscatter(
-            z_other, wake_index=timeline.wifi_start)
-        interference += apply_channel(
-            other_scene.h_b, z_other * other_plan.reflection)
-
-    # --- reader receive ----------------------------------------------------
-    si = apply_channel(scene.h_env, x_pa)
-    if scene.config.env_drift_rms > 0:
-        si = si * coherence_impairment(
-            si.size, scene.config.env_drift_rms,
-            scene.config.env_drift_coherence_us * SAMPLES_PER_US, rng,
-        )
-    backscatter = apply_channel(scene.h_b, z_tag * reflection)
-    if fault is not None:
-        backscatter = fault.apply_backscatter(backscatter)
-    if tag_speed_m_s > 0:
-        from ..channel.doppler import backscatter_fading
-
-        backscatter = backscatter * backscatter_fading(
-            backscatter.size, tag_speed_m_s, rng=rng,
-        )
-    if backscatter_evm > 0:
-        backscatter = backscatter * coherence_impairment(
-            backscatter.size, backscatter_evm,
-            BACKSCATTER_EVM_COHERENCE_US * SAMPLES_PER_US, rng,
-        )
-    noise = awgn(x.size, scene.noise_floor_mw, rng)
-    y = si + backscatter + interference + noise
-    if fault is not None:
-        y = fault.apply_rx(y, scene.noise_floor_mw)
-
-    return ExchangeCapture(
-        timeline=timeline,
-        plan=plan,
+    _, (capture,) = synthesize_stack(
+        transmission, [scene], [tag], [rng],
         payload_bits=payload_bits,
-        x_pa=x_pa,
-        rx=y,
-        z_tag=z_tag,
-        reflection=reflection,
-        injected_faults=tuple(fault.injected) if fault is not None else (),
+        n_payload_bits=n_payload_bits,
+        backscatter_evm=backscatter_evm,
+        tag_speed_m_s=tag_speed_m_s,
+        interferers=interferers,
+        use_tag_detector=use_tag_detector,
+        faults=faults,
+        exchange_index=exchange_index,
     )
+    return capture
 
 
 def run_scenario_session(

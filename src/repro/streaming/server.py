@@ -44,6 +44,14 @@ over 64 MiB (413), a head over the stream limit of 64 KiB (431) -- is
 answered and the connection closed, since the byte stream cannot be
 resynchronised.
 
+The WebSocket feed needs nothing from a client but close, ping and
+pong.  An upgrade that is not a ``GET`` or whose ``Sec-WebSocket-Key``
+does not decode to 16 bytes is refused 400.  A client frame whose
+payload exceeds 125 bytes is refused before it is read (close code
+1009), and one that breaks RFC 6455 framing -- unmasked, RSV bits set,
+a reserved opcode, a fragmented control frame -- fails the connection
+(close code 1002).
+
 When the multiplexer carries a :class:`~repro.faults.chaos.ChaosPlan`,
 this layer realises its transport events on arriving chunks: drops
 (request swallowed), connection resets, latency spikes, corruption
@@ -92,6 +100,8 @@ DEFAULT_PORT = 8735
 """Default TCP port of ``repro serve``."""
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
+_WS_OPCODES = frozenset({0x0, 0x1, 0x2, 0x8, 0x9, 0xA})
+"""Continuation, text, binary, close, ping, pong (RFC 6455 §5.2)."""
 _MAX_BODY = 64 << 20
 _SESSION_ID = re.compile(r"[A-Za-z0-9._~-]{1,64}")
 """Client-chosen session ids: URL-safe, so every route can address
@@ -111,6 +121,15 @@ class _Unframeable(Exception):
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
+
+
+class _WsFailure(Exception):
+    """A client WebSocket frame the feed refuses: the connection fails
+    with close ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 class _ChaosDrop(Exception):
@@ -335,7 +354,7 @@ class StreamingServer:
                 method, path, headers, body = req
                 if path == "/telemetry/ws" and \
                         "websocket" in headers.get("upgrade", "").lower():
-                    await self._serve_ws(reader, writer, headers)
+                    await self._serve_ws(reader, writer, method, headers)
                     break
                 if method == "GET" and path == "/telemetry/feed":
                     await self._serve_feed(writer)
@@ -644,9 +663,21 @@ class StreamingServer:
     # -- WebSocket ---------------------------------------------------------
 
     async def _serve_ws(self, reader: asyncio.StreamReader,
-                        writer: asyncio.StreamWriter,
+                        writer: asyncio.StreamWriter, method: str,
                         headers: dict[str, str]) -> None:
         key = headers.get("sec-websocket-key", "")
+        try:
+            valid = method == "GET" and \
+                len(base64.b64decode(key, validate=True)) == 16
+        except ValueError:          # binascii.Error, or non-ASCII text
+            valid = False
+        if not valid:
+            self._respond(writer, 400, {
+                "error": "a WebSocket upgrade is a GET with a "
+                         "Sec-WebSocket-Key of 16 base64 bytes"},
+                close=True)
+            await writer.drain()
+            return
         accept = base64.b64encode(
             hashlib.sha1((key + _WS_GUID).encode()).digest()).decode()
         writer.write(
@@ -657,19 +688,21 @@ class StreamingServer:
         await writer.drain()
         q = self._subscribe()
         pump = asyncio.ensure_future(self._ws_pump(writer, q))
+        close = None
         try:
             while True:
                 frame = await self._ws_read_frame(reader)
                 if frame is None:
                     break
                 opcode, payload = frame
-                if opcode == 0x8:           # close
-                    self._ws_send(writer, 0x8, payload)
-                    await writer.drain()
+                if opcode == 0x8:
+                    close = payload
                     break
                 if opcode == 0x9:           # ping -> pong
                     self._ws_send(writer, 0xA, payload)
                     await writer.drain()
+        except _WsFailure as exc:
+            close = exc.code.to_bytes(2, "big")
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -679,6 +712,12 @@ class StreamingServer:
             except (asyncio.CancelledError, ConnectionError):
                 pass
             self._unsubscribe(q)
+        if close is not None:               # no feed frame after the close
+            self._ws_send(writer, 0x8, close)
+            try:
+                await writer.drain()
+            except ConnectionError:
+                pass
 
     async def _ws_pump(self, writer: asyncio.StreamWriter,
                        q: asyncio.Queue) -> None:
@@ -708,25 +747,26 @@ class StreamingServer:
 
     @staticmethod
     async def _ws_read_frame(reader: asyncio.StreamReader):
+        """The next client frame as ``(opcode, payload)``; ``None`` at
+        end of stream.  Raises :class:`_WsFailure` for a frame the feed
+        refuses (see the module docstring)."""
         try:
-            b0b1 = await reader.readexactly(2)
+            b0, b1 = await reader.readexactly(2)
         except (asyncio.IncompleteReadError, ConnectionError):
             return None
-        opcode = b0b1[0] & 0x0F
-        masked = bool(b0b1[1] & 0x80)
-        n = b0b1[1] & 0x7F
-        if n == 126:
-            n = int.from_bytes(await reader.readexactly(2), "big")
-        elif n == 127:
-            n = int.from_bytes(await reader.readexactly(8), "big")
-        if n > _MAX_BODY:
-            return None
+        n = b1 & 0x7F
+        if n > 125:
+            # Take the extended length off the wire, not the payload.
+            await reader.readexactly(2 if n == 126 else 8)
+            raise _WsFailure(1009, "client frames carry at most 125 bytes")
+        masked = bool(b1 & 0x80)
         mask = await reader.readexactly(4) if masked else b""
         payload = await reader.readexactly(n) if n else b""
-        if masked and payload:
-            payload = bytes(
-                b ^ mask[i % 4] for i, b in enumerate(payload))
-        return opcode, payload
+        opcode = b0 & 0x0F
+        if not masked or b0 & 0x70 or opcode not in _WS_OPCODES \
+                or (opcode & 0x8 and not b0 & 0x80):
+            raise _WsFailure(1002, "malformed WebSocket frame")
+        return opcode, bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
 
 
 class ServerThread:

@@ -8,17 +8,34 @@ module keeps the original forms -- one Python iteration per OFDM symbol
 ``interleave`` and the sliding-window ``conv_encode`` they called), the
 ADC quantiser that rounded I and Q as separate planes of one capture,
 and one Python step per CRC input bit -- as the oracles the property
-tests hold the fast kernels to, bit for bit.
+tests hold the fast kernels to, bit for bit.  The scalar exchange
+synthesizer (one exchange, one array per stage) is kept the same way,
+as the oracle a stack of one is held to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.channel.environment import Scene
+from repro.channel.hardware import PaNonlinearity, coherence_impairment
+from repro.channel.multipath import apply_channel
+from repro.channel.noise import awgn
 from repro.coding.convolutional import _PARITY, CONSTRAINT, puncture
 from repro.coding.interleaver import interleave_indices
 from repro.coding.scrambler import scramble
-from repro.constants import CP_LENGTH, FFT_SIZE, SYMBOL_LENGTH
+from repro.constants import (
+    BACKSCATTER_EVM_COHERENCE_US,
+    BACKSCATTER_EVM_RMS,
+    CP_LENGTH,
+    FFT_SIZE,
+    SAMPLES_PER_US,
+    SYMBOL_LENGTH,
+)
+from repro.faults import FaultPlan
+from repro.link.session import ExchangeCapture, synthesize_ap_transmission
+from repro.tag.detector import DetectionResult
+from repro.tag.tag import BackFiTag, BackscatterPlan
 from repro.utils.bits import bits_from_bytes
 from repro.wifi.mapper import qam_map
 from repro.wifi.ofdm import (
@@ -178,3 +195,124 @@ def crc32(data: bytes) -> int:
             else:
                 reg >>= 1
     return reg ^ 0xFFFFFFFF
+
+
+# -- exchange synthesis, one exchange at a time -------------------------
+
+
+def synthesize_exchange(
+    scene: Scene,
+    tag: BackFiTag,
+    *,
+    psdu: bytes | None = None,
+    payload_bits: np.ndarray | None = None,
+    n_payload_bits: int = 1000,
+    wifi_rate_mbps: int = 24,
+    wifi_payload_bytes: int = 1500,
+    preamble_us: float | None = None,
+    pa: PaNonlinearity | None = PaNonlinearity(),
+    backscatter_evm: float = BACKSCATTER_EVM_RMS,
+    tag_speed_m_s: float = 0.0,
+    excitation: str = "wifi",
+    addressed_tag_id: int | None = None,
+    interferers: list[tuple[BackFiTag, Scene]] | None = None,
+    use_tag_detector: bool = False,
+    include_cts: bool = True,
+    faults: FaultPlan | None = None,
+    exchange_index: int = 0,
+    rng: np.random.Generator | None = None,
+) -> ExchangeCapture:
+    """The scalar exchange synthesizer, one array per stage.
+
+    The package synthesizes every exchange as a stack
+    (:func:`repro.link.batch.synthesize_stack`);
+    :func:`repro.link.session.synthesize_exchange` is that stack on one
+    row.  This is the scalar form it replaced, kept verbatim: a stack of
+    one must reproduce its capture, its faults and its generator draws
+    bit for bit.
+    """
+    rng = rng or np.random.default_rng()
+    fault = faults.realize(exchange_index) if faults is not None else None
+    timeline, x_pa = synthesize_ap_transmission(
+        scene, tag,
+        psdu=psdu,
+        wifi_rate_mbps=wifi_rate_mbps,
+        wifi_payload_bytes=wifi_payload_bytes,
+        preamble_us=preamble_us,
+        pa=pa,
+        excitation=excitation,
+        addressed_tag_id=addressed_tag_id,
+        include_cts=include_cts,
+        rng=rng,
+    )
+    x = timeline.samples
+
+    # --- tag side ---------------------------------------------------------
+    if payload_bits is None:
+        payload_bits = rng.integers(0, 2, size=n_payload_bits,
+                                    dtype=np.uint8)
+    tag.queue_data(payload_bits)
+    z_tag = apply_channel(scene.h_f, x_pa)
+    wake = None if use_tag_detector else timeline.wifi_start
+    if fault is not None and fault.detector_miss:
+        # The wake-up detector slept through the AP preamble: the tag
+        # never reflects and its queued data stays in memory.
+        plan = BackscatterPlan(
+            reflection=np.zeros(x.size, dtype=np.complex128),
+            detection=DetectionResult(detected=False),
+        )
+    else:
+        plan = tag.backscatter(z_tag, wake_index=wake)
+    reflection = plan.reflection
+    if fault is not None:
+        reflection = fault.apply_reflection(reflection,
+                                            timeline.wifi_start)
+
+    # --- interfering tags ----------------------------------------------
+    interference = np.zeros(x.size, dtype=np.complex128)
+    for other_tag, other_scene in (interferers or []):
+        if other_tag.pending_bits == 0:
+            other_tag.queue_data(rng.integers(0, 2, size=1000,
+                                              dtype=np.uint8))
+        z_other = apply_channel(other_scene.h_f, x_pa)
+        other_plan = other_tag.backscatter(
+            z_other, wake_index=timeline.wifi_start)
+        interference += apply_channel(
+            other_scene.h_b, z_other * other_plan.reflection)
+
+    # --- reader receive ----------------------------------------------------
+    si = apply_channel(scene.h_env, x_pa)
+    if scene.config.env_drift_rms > 0:
+        si = si * coherence_impairment(
+            si.size, scene.config.env_drift_rms,
+            scene.config.env_drift_coherence_us * SAMPLES_PER_US, rng,
+        )
+    backscatter = apply_channel(scene.h_b, z_tag * reflection)
+    if fault is not None:
+        backscatter = fault.apply_backscatter(backscatter)
+    if tag_speed_m_s > 0:
+        from repro.channel.doppler import backscatter_fading
+
+        backscatter = backscatter * backscatter_fading(
+            backscatter.size, tag_speed_m_s, rng=rng,
+        )
+    if backscatter_evm > 0:
+        backscatter = backscatter * coherence_impairment(
+            backscatter.size, backscatter_evm,
+            BACKSCATTER_EVM_COHERENCE_US * SAMPLES_PER_US, rng,
+        )
+    noise = awgn(x.size, scene.noise_floor_mw, rng)
+    y = si + backscatter + interference + noise
+    if fault is not None:
+        y = fault.apply_rx(y, scene.noise_floor_mw)
+
+    return ExchangeCapture(
+        timeline=timeline,
+        plan=plan,
+        payload_bits=payload_bits,
+        x_pa=x_pa,
+        rx=y,
+        z_tag=z_tag,
+        reflection=reflection,
+        injected_faults=tuple(fault.injected) if fault is not None else (),
+    )

@@ -8,11 +8,13 @@ from repro.coding import (
     ConvolutionalCode,
     conv_encode,
     deinterleave,
+    depuncture,
     descramble,
     interleave,
     scramble,
-    viterbi_decode,
+    viterbi_decode_soft,
 )
+from repro.coding.convolutional import CONSTRAINT
 from repro.link.frames import build_frame_bits, parse_frame_bits
 from repro.utils.bits import (
     bits_from_bytes,
@@ -77,8 +79,9 @@ def test_conv_encoder_linearity(bits):
 @given(bit_arrays, st.sampled_from(["1/2", "2/3", "3/4"]))
 def test_viterbi_noiseless_roundtrip(bits, rate):
     code = ConvolutionalCode(rate)
-    coded = code.encode_with_tail(bits)
-    decoded = viterbi_decode(coded, rate, n_info_bits=bits.size)
+    llrs = 1.0 - 2.0 * code.encode_with_tail(bits).astype(np.float64)
+    n_mother = 2 * (bits.size + CONSTRAINT - 1)
+    decoded = viterbi_decode_soft(depuncture(llrs, rate, n_mother))
     assert np.array_equal(decoded, bits)
 
 

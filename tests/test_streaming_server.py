@@ -515,6 +515,180 @@ class TestInputFuzz:
         assert threading.active_count() == threads
 
 
+_WS_KEY = base64.b64encode(b"0123456789abcdef")
+_WS_UPGRADE = (b"GET /telemetry/ws HTTP/1.1\r\nHost: test\r\n"
+               b"Upgrade: websocket\r\nConnection: Upgrade\r\n"
+               b"Sec-WebSocket-Key: " + _WS_KEY + b"\r\n\r\n")
+_MASK = b"\x1f\x2e\x3d\x4c"
+
+
+def _ws_open(port: int) -> socket.socket:
+    """A socket past a well-formed ``/telemetry/ws`` upgrade."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+    sock.sendall(_WS_UPGRADE)
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        got = sock.recv(1)          # one byte at a time: frames follow
+        assert got, head
+        head += got
+    assert head.startswith(b"HTTP/1.1 101"), head
+    return sock
+
+
+def _ws_frames(raw: bytes) -> list[tuple[int, bytes]]:
+    """The server's (unmasked) frames as ``(opcode, payload)``; a frame
+    cut short by a reset ends the list."""
+    frames = []
+    while len(raw) >= 2:
+        n, at = raw[1] & 0x7F, 2
+        if n >= 126:
+            width = 2 if n == 126 else 8
+            n, at = int.from_bytes(raw[2:2 + width], "big"), 2 + width
+        if len(raw) < at + n:
+            break
+        frames.append((raw[0] & 0x0F, raw[at:at + n]))
+        raw = raw[at + n:]
+    return frames
+
+
+def _ws_exchange(port: int, data: bytes) -> list[tuple[int, bytes]]:
+    """Upgrade, send ``data``, end our side and read until the server
+    closes; returns every frame it sent."""
+    received = bytearray()
+    with _ws_open(port) as sock:
+        try:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+        except (BrokenPipeError, ConnectionResetError):
+            pass                    # the server refused early and closed
+        while True:
+            try:
+                got = sock.recv(1 << 16)
+            except ConnectionResetError:
+                break
+            if not got:
+                break
+            received += got
+    return _ws_frames(bytes(received))
+
+
+def _masked(b0: int, payload: bytes = b"") -> bytes:
+    """A client frame with a <=125-byte payload, masked with _MASK."""
+    body = bytes(b ^ _MASK[i % 4] for i, b in enumerate(payload))
+    return bytes([b0, 0x80 | len(payload)]) + _MASK + body
+
+
+def _control(frames):
+    return [(op, body) for op, body in frames if op & 0x8]
+
+
+class TestWebSocketFrames:
+    """The feed takes close, ping and pong from a client and nothing
+    large: RFC 6455 framing errors fail the connection with 1002, a
+    payload over 125 bytes with 1009 before it is read."""
+
+    def test_ping_gets_its_pong_and_close_its_close(self, service):
+        close_1000 = _masked(0x88, b"\x03\xe8")
+        frames = _ws_exchange(service.port, _masked(0x89, b"hi") + close_1000)
+        assert _control(frames) == [(0xA, b"hi"), (0x8, b"\x03\xe8")]
+        assert service.unhandled() == []
+
+    @pytest.mark.parametrize("frame, code", [
+        (b"\x89\xfe\x00\x80", 1009),                  # 128-byte ping
+        (b"\x89\xff" + (1 << 20).to_bytes(8, "big"), 1009),   # 1 MiB
+        (b"\x82\xff" + (64 << 20).to_bytes(8, "big"), 1009),  # 64 MiB
+        (b"\x89\x02hi", 1002),                           # unmasked
+        (b"\x81\x00", 1002),                             # unmasked text
+        (_masked(0xC9), 1002),                           # RSV1 set
+        (_masked(0x99), 1002),                           # RSV3 set
+        (_masked(0x83), 1002),                           # reserved data
+        (_masked(0x8B), 1002),                           # reserved control
+        (_masked(0x09, b"hi"), 1002),                    # fragmented ping
+        (_masked(0x08), 1002),                           # fragmented close
+    ])
+    def test_refused_frame_closes_with_code(self, service, frame, code):
+        frames = _ws_exchange(service.port, frame + _masked(0x89, b"x"))
+        assert _control(frames) == [(0x8, code.to_bytes(2, "big"))]
+        assert service.unhandled() == []
+
+    @pytest.mark.parametrize("head", [
+        _WS_UPGRADE.replace(b"GET", b"POST", 1),
+        _WS_UPGRADE.replace(b"Sec-WebSocket-Key: " + _WS_KEY + b"\r\n", b""),
+        _WS_UPGRADE.replace(_WS_KEY, base64.b64encode(b"eight by")),
+        _WS_UPGRADE.replace(_WS_KEY, b"not base64 at all!"),
+        _WS_UPGRADE.replace(_WS_KEY, _WS_KEY[:-1]),
+    ], ids=["post", "no-key", "short-key", "junk-key", "bad-padding"])
+    def test_bad_upgrade_is_400_then_close(self, service, head):
+        got = _send_raw(service.port, head, half_close=False)
+        assert _statuses(got) == [400]
+        assert service.unhandled() == []
+
+    def test_healthz_answers_while_a_large_frame_arrives(self, service):
+        # Announce 64 MiB (the body cap) or 8 MiB, send 8 MiB, and poll
+        # /healthz meanwhile: nothing may hold the event loop.
+        for announced in (64 << 20, 8 << 20):
+            with _ws_open(service.port) as sock:
+                try:
+                    sock.sendall(b"\x82\xff" + announced.to_bytes(8, "big")
+                                 + _MASK + bytes(8 << 20))
+                except OSError:
+                    pass            # refused before the payload: closed
+                worst, deadline = 0.0, time.monotonic() + 0.4
+                while time.monotonic() < deadline:
+                    t0 = time.perf_counter()
+                    status, payload = _raw(service.port, "GET", "/healthz")
+                    worst = max(worst, time.perf_counter() - t0)
+                    assert status == 200 and payload["ok"] is True
+            assert worst < 0.1, (announced, worst)
+        assert service.unhandled() == []
+
+
+@st.composite
+def _ws_fuzz_frames(draw):
+    """One to three client frames: any first byte, any length field (the
+    extended length may announce far more than follows), masked or not,
+    and a payload that may be cut short or overrun."""
+    out = b""
+    for _ in range(draw(st.integers(1, 3))):
+        b0 = draw(st.integers(0, 255))
+        masked = draw(st.booleans())
+        n = draw(st.integers(0, 127))
+        out += bytes([b0, (0x80 if masked else 0) | n])
+        if n == 126:
+            out += draw(st.integers(0, 0xFFFF)).to_bytes(2, "big")
+        elif n == 127:
+            out += draw(st.integers(0, 2 ** 63 - 1)).to_bytes(8, "big")
+        if masked:
+            out += draw(st.binary(min_size=4, max_size=4))
+        out += draw(st.binary(max_size=160))
+    return out
+
+
+class TestWebSocketFuzz:
+    def test_every_frame_sequence_ends_in_a_close(self):
+        threads = threading.active_count()
+        with _Service(max_sessions=4) as svc:
+            client = ServiceClient(port=svc.port)
+            baseline = client.stats()["feed_subscribers"]
+
+            @settings(max_examples=100, deadline=None,
+                      suppress_health_check=[HealthCheck.too_slow])
+            @given(data=_ws_fuzz_frames())
+            def check(data: bytes) -> None:
+                frames = _ws_exchange(svc.port, data)
+                control = _control(frames)
+                assert all(len(body) <= 125 for _, body in control)
+                assert all(op != 0x8 for op, _ in control[:-1]), control
+                assert svc.unhandled() == []
+                assert client.stats()["feed_subscribers"] == baseline
+
+            try:
+                check()
+            finally:
+                client.close()
+        assert threading.active_count() == threads
+
+
 _OK = b'{"ok": true}'
 
 
