@@ -16,29 +16,25 @@ __all__ = ["viterbi_decode_soft", "viterbi_decode_soft_batch"]
 
 
 _HALF = N_STATES // 2
-_BLOCK_FLOATS = 1 << 15
-"""Cap on the per-block branch-label gather (256 KiB of float64): a
-whole-stream gather would hold ``n_steps * B * 128`` floats at once."""
+_BLOCK_FLOATS = 1 << 14
+"""Cap on a block's candidate buffer (128 KiB of float64): a block of
+steps keeps every step's ``2 * N_STATES * B`` candidates until one
+compare after the block gives its survivor decisions (128 steps of one
+row, 4 of a 32-row stack)."""
 
 
-def _butterfly_labels() -> np.ndarray:
-    """Branch-table index of every (predecessor slot, next state) pair.
+_LABELS = 2 * _PARITY[0, :N_STATES] + _PARITY[1, :N_STATES]
+"""Branch-table index of the input-0 branch leaving each state.
 
-    The trellis is a radix-2 butterfly: next states ``j`` and ``j + 32``
-    both have the predecessors ``2j`` and ``2j + 1``.  Entry ``[i, ns]``
-    is the output-pair index ``2*c0 + c1`` of the branch from
-    ``2*(ns % 32) + i`` into ``ns``.
-    """
-    ns = np.arange(N_STATES)
-    inp = ns >> (CONSTRAINT - 2)
-    labels = np.empty((2, N_STATES), dtype=np.intp)
-    for i in (0, 1):
-        reg = (inp << (CONSTRAINT - 1)) | ((ns & (_HALF - 1)) << 1) | i
-        labels[i] = 2 * _PARITY[0, reg] + _PARITY[1, reg]
-    return labels.reshape(-1)
+Both generators (133, 171 octal) tap the newest and the oldest register
+bit, so flipping either flips both output bits: the branch from state
+``s`` into ``s >> 1`` (register ``s``) carries output pair ``k``, and
+the branch from ``s`` into ``32 + (s >> 1)`` (and from ``s ^ 1`` into
+``s >> 1``) carries ``3 - k``, whose branch metric is ``-bm[k]``."""
 
-
-_LABELS = _butterfly_labels()
+_PRED_BASE = ((np.arange(N_STATES) & (_HALF - 1)) << 1).astype(np.uint8)
+"""Even predecessor ``2*(ns % 32)`` of every state; a survivor decision
+adds its odd bit."""
 
 
 def _add_compare_select(llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,17 +44,27 @@ def _add_compare_select(llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     state ``ns`` took its odd predecessor ``2*(ns % 32) + 1``) and the
     final path metrics ``(N_STATES, B)``.
 
-    Candidates live in an ``(i, u, j, B)`` buffer: candidate ``i`` of
-    next state ``ns = 32u + j`` adds predecessor ``2j + i``'s metric --
-    a strided view of the state-ordered metrics, broadcast over ``u`` --
-    to its branch metric, gathered from the 4-entry branch table a
-    bounded block of steps at a time.  Both candidate planes are then
-    contiguous in state order, so a step is three ufunc calls: add,
-    compare (the decisions), select.  The select keeps candidate 1 iff
-    it is strictly larger.  With finite branch metrics no candidate is
-    NaN or -0.0, so a branch-free ``maximum`` returns exactly that
-    value; otherwise a masked copy does.  A stack of one drops the batch
-    axis so the compare and select run one-dimensional.
+    Each state ``s`` leaves on two branches with the metrics ``+lam_s``
+    and ``-lam_s`` (see :data:`_LABELS`), so a step writes
+    ``metric + lam`` and ``metric - lam`` into the two contiguous halves
+    of a ``2 * N_STATES`` candidate buffer.  Next state ``r``'s
+    candidates then sit at ``2r`` and ``2r + 1``: one ``maximum`` over
+    the buffer's even/odd interleave is the select, and one ``greater``
+    over a block of such buffers gives the block's decisions.
+
+    The result is the fancy-index trellis's, bit for bit.  Each
+    candidate is the sum that trellis formed: ``m - bm[k]`` equals
+    ``m + bm[3 - k]``, because the two branch metrics differ at most in
+    the sign of a zero and no metric is ever -0.0.  Candidate 1 survives
+    iff it is strictly larger: with finite branch metrics no candidate is
+    NaN, so ``maximum`` returns exactly that survivor; otherwise a masked
+    copy per step does.  A NaN may differ from that trellis's in its sign
+    bit, but no output reads one that does: a NaN input makes every
+    branch metric of its step NaN, so from then on every path metric is
+    NaN, every decision false and the metric returned is state 0's, which
+    only ever adds ``+lam``; a NaN from ``inf - inf`` is the same default
+    NaN either way.  A stack of one drops the batch axis so every call
+    runs one-dimensional.
     """
     n_batch, length = llrs.shape
     n_steps = length // 2
@@ -76,24 +82,29 @@ def _add_compare_select(llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     metric = np.full((N_STATES,) + tail, -1e18)
     metric[0] = 0.0
-    pred = metric.reshape((_HALF, 2) + tail).swapaxes(0, 1)[:, None]
-    cand = np.empty((2, N_STATES) + tail)
-    planes = cand.reshape((2, 2, _HALF) + tail)
-    keep, other = cand
     decisions = np.empty((n_steps, N_STATES) + tail, dtype=bool)
-
-    block = max(1, _BLOCK_FLOATS // (2 * N_STATES * n_batch))
+    block = min(n_steps, max(1, _BLOCK_FLOATS // (2 * N_STATES * n_batch)))
+    lam = np.empty((block, N_STATES) + tail)
+    cand = np.empty((block, 2 * N_STATES) + tail)
+    even, odd = cand[:, 0::2], cand[:, 1::2]
+    take1 = np.empty((N_STATES,) + tail, dtype=bool)
+    # Every block refills the same buffers, so the per-step views are
+    # made once.
+    steps = list(zip(lam, cand[:, :N_STATES], cand[:, N_STATES:],
+                     even, odd))
     for t0 in range(0, n_steps, block):
-        branch = bm[t0: t0 + block].take(_LABELS, axis=1).reshape(
-            (-1, 2, 2, _HALF) + tail)
-        for labels, take1 in zip(branch, decisions[t0: t0 + block]):
-            np.add(pred, labels, out=planes)
-            np.greater(other, keep, out=take1)
+        n = min(block, n_steps - t0)
+        bm[t0: t0 + n].take(_LABELS, axis=1, out=lam[:n])
+        for lam_t, p, m, e, o in steps[:n]:
+            np.add(metric, lam_t, out=p)
+            np.subtract(metric, lam_t, out=m)
             if finite:
-                np.maximum(keep, other, out=metric)
+                np.maximum(e, o, out=metric)
             else:
-                np.copyto(metric, keep)
-                np.copyto(metric, other, where=take1)
+                np.greater(o, e, out=take1)
+                np.copyto(metric, e)
+                np.copyto(metric, o, where=take1)
+        np.greater(odd[:n], even[:n], out=decisions[t0: t0 + n])
     return (decisions.reshape(n_steps, N_STATES, n_batch),
             metric.reshape(N_STATES, n_batch))
 
@@ -101,20 +112,21 @@ def _add_compare_select(llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _traceback(decisions: np.ndarray, state: np.ndarray) -> np.ndarray:
     """Follow each row's survivors back from ``state``; returns bits.
 
-    A byte walk per row: the predecessor of ``ns`` is
-    ``2*(ns % 32) + decision``, and the bit that led into ``ns`` is
-    ``ns >> 5``.
+    The decisions become a predecessor table in one vectorised step
+    (``2*(ns % 32) + decision``), so the walk back is one byte lookup a
+    step; the bit that led into ``ns`` is ``ns >> 5``.
     """
     n_steps, _, n_batch = decisions.shape
+    pred = decisions.view(np.uint8) | _PRED_BASE[:, None]
     bits = np.empty((n_batch, n_steps), dtype=np.uint8)
     for b in range(n_batch):
-        table = decisions[:, :, b].tobytes()
+        table = pred[:, :, b].tobytes()
         path = bytearray(n_steps)
         s = int(state[b])
         pos = (n_steps - 1) * N_STATES
         for t in range(n_steps - 1, -1, -1):
             path[t] = s
-            s = ((s & (_HALF - 1)) << 1) | table[pos + s]
+            s = table[pos + s]
             pos -= N_STATES
         bits[b] = np.frombuffer(path, dtype=np.uint8)
     return bits >> (CONSTRAINT - 2)

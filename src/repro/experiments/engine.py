@@ -184,6 +184,9 @@ class JobRecord:
     """Trials that raised during this run (isolated by
     :func:`parallel_map`; their slots carry ``None`` in the results)."""
     tracebacks: tuple[str, ...] = ()
+    n_cell_fallbacks: int = 0
+    """Sweep cells whose batched evaluation raised during this run and
+    were re-run trial by trial (:func:`cell_map`'s fallback)."""
 
     def describe(self) -> str:
         """One log line for progress output."""
@@ -191,13 +194,17 @@ class JobRecord:
             ("s" if self.jobs != 1 else "")
         failed = f", {self.n_failed} trial(s) FAILED" if self.n_failed \
             else ""
+        if self.n_cell_fallbacks:
+            failed += (f", {self.n_cell_fallbacks} cell(s) re-run "
+                       f"per trial")
         return f"[{self.name}: {self.seconds:.2f} s ({src}){failed}]"
 
     def as_dict(self) -> dict[str, Any]:
         """The record as plain data (telemetry probes, JSON export)."""
         return {"name": self.name, "seconds": self.seconds,
                 "cached": self.cached, "jobs": self.jobs,
-                "key": self.key, "n_failed": self.n_failed}
+                "key": self.key, "n_failed": self.n_failed,
+                "n_cell_fallbacks": self.n_cell_fallbacks}
 
 
 class ExperimentEngine:
@@ -226,6 +233,8 @@ class ExperimentEngine:
         )
         self.records: list[JobRecord] = []
         self.trial_failures: list[TrialFailure] = []
+        self.cell_fallbacks = 0
+        """Cells :func:`cell_map` re-ran through their fallback."""
         self._pool: ProcessPoolExecutor | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -306,6 +315,7 @@ class ExperimentEngine:
                     )
             if record is None:
                 n_failures_before = len(self.trial_failures)
+                n_fallbacks_before = self.cell_fallbacks
                 result = fn(**params)
                 new_failures = self.trial_failures[n_failures_before:]
                 if self.cache_enabled:
@@ -320,6 +330,8 @@ class ExperimentEngine:
                     cached=False, jobs=self.jobs, key=key,
                     n_failed=len(new_failures),
                     tracebacks=tuple(f.traceback for f in new_failures),
+                    n_cell_fallbacks=self.cell_fallbacks
+                    - n_fallbacks_before,
                 )
             self.records.append(record)
             for field_name, value in record.as_dict().items():
@@ -463,9 +475,10 @@ def cell_map(fn, cells: Sequence[Any], *,
     batched evaluation raises is re-run inline through
     ``fallback(cell)``, which is expected to loop the cell's trials
     individually and substitute per-trial failure sentinels.  Each
-    re-run counts ``engine.cell_fallback`` on the telemetry collector,
-    so a broken batched path shows up as a count, not only as a slower
-    run.  A fallback that itself raises records a
+    re-run counts ``engine.cell_fallback`` on the telemetry collector
+    and on the current engine (the owning :class:`JobRecord` reports
+    ``n_cell_fallbacks``), so a broken batched path shows up as a
+    count, not only as a slower run.  A fallback that itself raises records a
     :class:`TrialFailure` and yields ``None`` for that cell, exactly
     like :func:`parallel_map`.
     """
@@ -486,6 +499,7 @@ def cell_map(fn, cells: Sequence[Any], *,
         for k, (index, _, failure) in enumerate(outs):
             if failure is not None:
                 get_collector().count("engine.cell_fallback")
+                engine.cell_fallbacks += 1
                 outs[k] = _guarded_call((fallback, index, cells[index]))
     results: list[Any] = [None] * len(cells)
     failures: list[TrialFailure] = []

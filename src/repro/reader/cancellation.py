@@ -76,16 +76,32 @@ def convolution_matrix(x: np.ndarray, n_taps: int,
                        rows: np.ndarray | None = None) -> np.ndarray:
     """Toeplitz matrix ``X`` with ``(X h)[n] = sum_k h[k] x[n-k]``.
 
-    ``rows`` selects which output indices to include (defaults to all).
+    ``rows`` selects which output indices to include (defaults to all);
+    each must lie in ``[0, len(x))``.  Samples before ``x[0]`` are zero.
+    Selected rows read only ``x[min(rows) - n_taps + 1 : max(rows) + 1]``,
+    so a fit over a few hundred rows of a long capture copies a few
+    hundred samples, not the capture.
     """
     x = np.asarray(x, dtype=np.complex128)
     if n_taps < 1:
         raise ValueError("need at least one tap")
-    padded = np.concatenate([np.zeros(n_taps - 1, dtype=np.complex128), x])
-    full = np.lib.stride_tricks.sliding_window_view(padded, n_taps)[:, ::-1]
     if rows is None:
-        return full
-    return full[np.asarray(rows, dtype=np.intp)]
+        first, last = 0, x.size - 1
+    else:
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size == 0:
+            return np.empty((0, n_taps), dtype=np.complex128)
+        first, last = int(rows.min()), int(rows.max())
+        for row in (first, last):
+            if not 0 <= row < x.size:
+                raise ValueError(
+                    f"row {row} is outside the capture [0, {x.size})")
+    lo = first - (n_taps - 1)
+    span = x[max(lo, 0): last + 1]
+    if lo < 0:
+        span = np.concatenate([np.zeros(-lo, dtype=np.complex128), span])
+    window = np.lib.stride_tricks.sliding_window_view(span, n_taps)[:, ::-1]
+    return window if rows is None else window[rows - first]
 
 
 def ls_channel_estimate(x: np.ndarray, y: np.ndarray, n_taps: int,

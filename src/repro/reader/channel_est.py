@@ -18,7 +18,7 @@ from ..constants import SAMPLES_PER_US
 from ..dsp.fastpath import stacked_convolve
 from ..tag.tag import PREAMBLE_CHIP_US, tag_preamble_phases
 from ..telemetry import probe_rows
-from .cancellation import ls_channel_estimate
+from .cancellation import convolution_matrix, ls_channel_estimate
 
 __all__ = ["ChannelEstimate", "estimate_combined_channel",
            "estimate_combined_channel_group", "preamble_condition_number",
@@ -83,17 +83,13 @@ def preamble_condition_number(
     design worse than :data:`GRAM_MAX_CONDITION` (a narrowband
     excitation) is measured by the SVD of ``A`` instead.
     """
-    from .cancellation import convolution_matrix
-
     x = np.asarray(x, dtype=np.complex128)
     n_chips = int(round(preamble_us / PREAMBLE_CHIP_US))
     rows = _valid_preamble_rows(preamble_start, n_chips, n_taps)
     rows = rows[rows < x.size]
     if rows.size < n_taps:
         return float("inf")
-    # The rows reach back n_taps - 1 samples; only that span is read.
-    lo = max(int(rows[0]) - (n_taps - 1), 0)
-    a = convolution_matrix(x[lo:int(rows[-1]) + 1], n_taps, rows - lo)
+    a = convolution_matrix(x, n_taps, rows)
     eig = np.linalg.eigvalsh(a.conj().T @ a)
     if eig[0] > 0 and eig[-1] <= GRAM_MAX_CONDITION ** 2 * eig[0]:
         return float(np.sqrt(eig[-1] / eig[0]))

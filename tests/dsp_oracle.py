@@ -9,7 +9,9 @@ per-offset timing search (with the SVD channel fit it ran with the fast
 paths off), the stepwise LFSR, the Python-loop AR(1) recursion and the
 ``np.correlate`` correlations -- as the oracles the equivalence tests
 hold the package to and the "direct" arms of
-``benchmarks/bench_hotpaths.py`` time.
+``benchmarks/bench_hotpaths.py`` time.  The LS design matrix that
+zero-pads and windows the whole capture, whichever rows it keeps, is
+here too (``convolution_matrix_full``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,23 @@ from repro.reader.channel_est import (
 )
 from repro.reader.sync import SyncResult
 from repro.tag.tag import PREAMBLE_CHIP_US, tag_preamble_phases
+
+# -- LS design matrix over the whole capture ---------------------------
+
+
+def convolution_matrix_full(x: np.ndarray, n_taps: int,
+                            rows: np.ndarray | None = None) -> np.ndarray:
+    """The Toeplitz design ``(X h)[n] = sum_k h[k] x[n-k]`` built over
+    the whole zero-padded capture and then row-selected."""
+    x = np.asarray(x, dtype=np.complex128)
+    if n_taps < 1:
+        raise ValueError("need at least one tap")
+    padded = np.concatenate([np.zeros(n_taps - 1, dtype=np.complex128), x])
+    full = np.lib.stride_tricks.sliding_window_view(padded, n_taps)[:, ::-1]
+    if rows is None:
+        return full
+    return full[np.asarray(rows, dtype=np.intp)]
+
 
 # -- fine timing: one least-squares fit per candidate offset -----------
 

@@ -60,6 +60,12 @@ def _cell_trial_loop(cell):
     return [x * 10 for x in cell]
 
 
+def _cell_sweep(boom):
+    """An experiment whose sweep submits whole cells with a fallback."""
+    return cell_map(_cell_boom_on_2 if boom else _cell_tens,
+                    [[0, 1], [2, 3], [4, 5, 6]], fallback=_cell_trial_loop)
+
+
 def _counted(n=3):
     _CALLS["n"] += 1
     return list(range(n))
@@ -302,6 +308,29 @@ class TestCellMap:
         assert clean == out == self.EXPECT
         assert eng.trial_failures == []
         assert collector.counters.get("engine.cell_fallback") == 1
+
+    def test_job_record_counts_cell_fallbacks(self, tmp_path):
+        collector = TelemetryCollector()
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng, \
+                use_engine(eng), use_collector(collector):
+            clean = eng.run("cells_clean", _cell_sweep, {"boom": False})
+            rerun = eng.run("cells_boom", _cell_sweep, {"boom": True})
+            cached = eng.run("cells_boom", _cell_sweep, {"boom": True})
+        assert clean == rerun == cached == self.EXPECT
+        first, second, third = eng.records
+        assert first.n_cell_fallbacks == 0
+        assert "re-run" not in first.describe()
+        # The crashed cell is counted on the record that ran it, not on
+        # a later cache hit, and no trial failed.
+        assert second.n_cell_fallbacks == 1 and second.n_failed == 0
+        assert "1 cell(s) re-run per trial" in second.describe()
+        assert "FAILED" not in second.describe()
+        assert second.as_dict()["n_cell_fallbacks"] == 1
+        assert third.cached and third.n_cell_fallbacks == 0
+        assert eng.cell_fallbacks == 1
+        spans = [s for s in collector.spans
+                 if s["name"] == "experiment.cells_boom"]
+        assert [s["probes"]["n_cell_fallbacks"] for s in spans] == [1, 0]
 
     def test_failed_cell_without_fallback_records_failure(self):
         with ExperimentEngine(jobs=1, cache=False) as eng, \

@@ -8,6 +8,9 @@
 * The butterfly Viterbi (scalar and batched) against a copy of the
   original fancy-index trellis (``viterbi_oracle.py``), bit for bit:
   decoded bits, survivor decisions and the returned path metric.
+* A row-selected LS fit, whose design reads only the span its rows
+  reach back to, against the fit on a design windowed from the whole
+  zero-padded capture (``dsp_oracle.py``), bit for bit.
 * Exchange synthesis against copies of the original per-symbol
   transmitter and bit-serial CRCs (``synthesis_oracle.py``), bit for
   bit; ``complex_normal`` against the two-draw expression it replaces;
@@ -18,6 +21,7 @@
 
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -27,15 +31,18 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import synthesis_oracle
-from dsp_oracle import ar1_loop
+from dsp_oracle import ar1_loop, convolution_matrix_full
 from repro.channel.hardware import Adc, ar1_filter
 from repro.channel.noise import complex_normal
-from repro.coding.convolutional import CONSTRAINT
+from repro.coding.convolutional import _PARITY, CONSTRAINT, N_STATES
 from repro.coding.viterbi import (
+    _BLOCK_FLOATS,
     _add_compare_select,
     viterbi_decode_soft,
     viterbi_decode_soft_batch,
 )
+from repro.reader import cancellation
+from repro.reader.cancellation import convolution_matrix, ls_channel_estimate
 from repro.reader.channel_est import estimate_combined_channel
 from repro.reader.fastpath import BatchPreambleSolver
 from repro.utils.crc import crc8, crc16_ccitt, crc32
@@ -143,15 +150,26 @@ def _bitwise_equal(a, b) -> bool:
                           np.asarray(b, dtype=np.float64).view(np.uint64))
 
 
-@settings(deadline=None, max_examples=60)
-@given(n_batch=st.integers(1, 8), n_steps=st.integers(0, 40),
-       terminated=st.booleans(), punctured=st.booleans(), data=st.data())
-def test_viterbi_matches_oracle_bit_for_bit(n_batch, n_steps, terminated,
-                                            punctured, data):
-    llrs = np.array(data.draw(st.lists(
-        _llr_values, min_size=2 * n_steps * n_batch,
-        max_size=2 * n_steps * n_batch)), dtype=np.float64).reshape(
-            n_batch, 2 * n_steps)
+def _seeded_llrs(seed: int, n_batch: int, n_steps: int,
+                 special_rate: float) -> np.ndarray:
+    """A ``(n_batch, 2 * n_steps)`` stream drawn from ``seed``: integer
+    ties and floats, with signed zeros, +-inf and NaN at
+    ``special_rate``."""
+    rng = np.random.default_rng(seed)
+    shape = (n_batch, 2 * n_steps)
+    llrs = np.where(rng.random(shape) < 0.5,
+                    rng.integers(-3, 4, shape).astype(np.float64),
+                    rng.uniform(-6.0, 6.0, shape))
+    special = rng.random(shape) < special_rate
+    llrs[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
+                               size=int(special.sum()))
+    return llrs
+
+
+def _check_viterbi_against_oracle(llrs, terminated, punctured):
+    """Batch, stack-of-one and oracle agree bit for bit on every row."""
+    n_batch, length = llrs.shape
+    n_steps = length // 2
     if punctured:
         # Depunctured positions of the rate-3/4 pattern carry zeros.
         llrs[:, 3::6] = 0.0
@@ -179,6 +197,96 @@ def test_viterbi_matches_oracle_bit_for_bit(n_batch, n_steps, terminated,
             assert _bitwise_equal(one_metric, ref_metric)
             if n_steps:
                 assert np.array_equal(decisions[:, :, b], ref_dec)
+
+
+def _block_steps(n_batch: int) -> int:
+    """Trellis steps per decision block of an ``n_batch``-row stack."""
+    return max(1, _BLOCK_FLOATS // (2 * N_STATES * n_batch))
+
+
+def test_butterfly_branches_carry_plus_and_minus_lambda():
+    # Both generators tap the newest and the oldest register bit, so
+    # flipping either flips both outputs: a butterfly's four branches
+    # carry one output pair k and its complement 3 - k.
+    reg = np.arange(2 * N_STATES)
+    for newest_or_oldest in (1, N_STATES):
+        assert np.array_equal(_PARITY[:, reg ^ newest_or_oldest],
+                              1 - _PARITY[:, reg])
+    # ... and the complement's branch metric is the negation, up to the
+    # sign of a zero.
+    l0, l1 = np.meshgrid(np.linspace(-6.0, 6.0, 49), [-2.5, -1e-3, 0.0, 3.0])
+    bm = np.stack([l0 + l1, l0 - l1, -l0 + l1, -l0 - l1])
+    assert _bitwise_equal(bm[::-1] + 0.0, -bm + 0.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n_batch=st.integers(1, 32), n_steps=st.integers(0, 40),
+       terminated=st.booleans(), punctured=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_viterbi_matches_oracle_bit_for_bit(n_batch, n_steps, terminated,
+                                            punctured, seed, data):
+    # Up to four rows come straight from hypothesis (ties, signed zeros,
+    # +-inf, NaN); any further rows of the stack are drawn from a seed,
+    # and the rows are shuffled so the drawn ones land anywhere.
+    n_drawn = min(n_batch, 4)
+    drawn = np.array(data.draw(st.lists(
+        _llr_values, min_size=2 * n_steps * n_drawn,
+        max_size=2 * n_steps * n_drawn)), dtype=np.float64).reshape(
+            n_drawn, 2 * n_steps)
+    rest = _seeded_llrs(seed, n_batch - n_drawn, n_steps, 0.02)
+    llrs = np.concatenate([drawn, rest])[
+        np.random.default_rng(seed).permutation(n_batch)]
+    _check_viterbi_against_oracle(llrs, terminated, punctured)
+
+
+@settings(deadline=None, max_examples=12)
+@given(n_batch=st.sampled_from([1, 32]), terminated=st.booleans(),
+       punctured=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       special_rate=st.sampled_from([0.0, 0.001, 0.05]), data=st.data())
+def test_viterbi_long_streams_cross_decision_blocks(
+        n_batch, terminated, punctured, seed, special_rate, data):
+    # Longer than one decision block (up to a whole paper-1m frame at
+    # 32 rows), so later blocks start from metrics an earlier block
+    # wrote; special_rate 0 keeps every branch metric finite (the
+    # maximum select), the others usually do not (the masked select).
+    block = _block_steps(n_batch)
+    n_steps = data.draw(st.integers(block + 1, max(3 * block + 7, 480)))
+    llrs = _seeded_llrs(seed, n_batch, n_steps, special_rate)
+    _check_viterbi_against_oracle(llrs, terminated, punctured)
+
+
+# -- LS design ---------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(8, 400), n_taps=st.integers(1, 24),
+       n_stack=st.sampled_from([0, 1, 3]), head=st.booleans(),
+       method=st.sampled_from(["auto", "normal", "lstsq"]),
+       ridge=st.sampled_from([0.0, 1e-3]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_row_selected_fit_matches_whole_capture_design(
+        n, n_taps, n_stack, head, method, ridge, seed, data):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    shape = (n,) if n_stack == 0 else (n_stack, n)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # Rows anywhere in the capture, in any order and with repeats;
+    # ``head`` puts some inside the first n_taps - 1 samples, whose
+    # windows reach back before x[0].
+    lo = 0 if head else data.draw(st.integers(0, n - 1))
+    rows = np.array(data.draw(st.lists(
+        st.integers(lo, min(n - 1, lo + 3 * n_taps + 40)),
+        min_size=n_taps, max_size=4 * n_taps + 40)), dtype=np.intp)
+    assert convolution_matrix(x, n_taps, rows).tobytes() == \
+        convolution_matrix_full(x, n_taps, rows).tobytes()
+    got = ls_channel_estimate(x, y, n_taps, rows=rows, ridge=ridge,
+                              method=method)
+    with patch.object(cancellation, "convolution_matrix",
+                      convolution_matrix_full):
+        ref = ls_channel_estimate(x, y, n_taps, rows=rows, ridge=ridge,
+                                  method=method)
+    assert got.shape == ref.shape == shape[:-1] + (n_taps,)
+    assert got.tobytes() == ref.tobytes()
 
 
 # -- exchange synthesis ------------------------------------------------

@@ -38,6 +38,26 @@ class TestConvolutionMatrix:
         with pytest.raises(ValueError):
             convolution_matrix(np.ones(5), 0)
 
+    def test_rows_at_the_capture_start_see_zeros_before_it(self, rng):
+        x = _wideband(rng, 30)
+        sel = convolution_matrix(x, 4, np.array([2, 0, 1]))
+        assert np.array_equal(sel[1], [x[0], 0, 0, 0])
+        assert np.array_equal(sel[2], [x[1], x[0], 0, 0])
+        assert np.array_equal(sel[0], [x[2], x[1], x[0], 0])
+
+    @pytest.mark.parametrize("row", [-1, -30, 30, 31])
+    def test_rows_outside_the_capture_are_refused(self, rng, row):
+        # A negative row would otherwise wrap to the end of the capture,
+        # and a row past the end would be a bare IndexError.
+        x = _wideband(rng, 30)
+        with pytest.raises(ValueError, match=f"row {row} is outside"):
+            convolution_matrix(x, 3, rows=[5, row, 7])
+        with pytest.raises(ValueError, match=f"row {row} is outside"):
+            ls_channel_estimate(x, x, 3, rows=np.r_[np.arange(5, 20), row])
+
+    def test_no_rows_is_an_empty_design(self, rng):
+        assert convolution_matrix(_wideband(rng, 30), 3, []).shape == (0, 3)
+
 
 class TestLsEstimate:
     def test_exact_recovery_noiseless(self, rng):

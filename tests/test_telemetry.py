@@ -238,7 +238,7 @@ class TestEngineSpans:
                         key="abc")
         assert rec.as_dict() == {"name": "fig8", "seconds": 1.25,
                                  "cached": True, "jobs": 2, "key": "abc",
-                                 "n_failed": 0}
+                                 "n_failed": 0, "n_cell_fallbacks": 0}
 
     def test_engine_run_emits_experiment_span(self, tmp_path):
         tm = TelemetryCollector(run_id="eng", directory=tmp_path)

@@ -14,21 +14,28 @@ interquartile range (``statistics.quantiles(values, n=4)``), the change
 in percent, the pairs the change won, whether the medians differ by more
 than the parent's IQR, and any metric whose median is worse than the
 parent's by more than its ``bound`` (a fraction of the parent's median).
-The summary goes to standard output as JSON on the last line; the exit
-status is 1 when a run failed, was not ``correct``, or a metric broke
-its bound.
+Beside the calibrated values it prints each metric's raw (uncalibrated)
+medians and raw wins, read from perfbench's ``name value unit (raw X)``
+lines: the calibration kernel can move with the workload, so a shift the
+raw times do not show is worth a second look.  The summary goes to
+standard output as JSON on the last line; the exit status is 1 when a
+run failed, was not ``correct``, or a metric broke its bound.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+RAW_LINE = re.compile(r"^\s+(\w+)\s+\S+\s+\S+\s+\(raw (\S+)\)\s*$")
+"""perfbench's end-to-end line: ``  name  value unit  (raw X)``."""
 
 
 def seeds(text: str) -> list[int]:
@@ -41,8 +48,16 @@ def seeds(text: str) -> list[int]:
 
 
 def parse_result(stdout: str) -> dict:
-    """The result JSON perfbench prints as its last stdout line."""
-    return json.loads(stdout.strip().splitlines()[-1])
+    """The result JSON perfbench prints as its last stdout line.
+
+    The raw value of every end-to-end metric printed above it is added
+    under ``"raw"`` (``name -> value``; empty when none was printed).
+    """
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["raw"] = {m.group(1): float(m.group(2))
+                     for m in map(RAW_LINE.match, lines[:-1]) if m}
+    return result
 
 
 def iqr(values: list[float]) -> float:
@@ -62,7 +77,8 @@ def summarize(parent: list[dict], change: list[dict],
     direction; ``resolved`` means the medians differ by more than the
     parent's IQR; ``worse_than_bound`` means the change's median is
     worse than the parent's by more than ``bound`` times the parent's
-    median.
+    median.  ``raw_*`` are the same medians and wins over the raw
+    values, or ``None`` when a result lacks the metric's raw value.
     """
     if len(parent) != len(change):
         raise ValueError("parent and change need one result per pair")
@@ -76,6 +92,13 @@ def summarize(parent: list[dict], change: list[dict],
         spread = iqr(pv)
         worse = (cm - pm) if lower else (pm - cm)
         bound = metric.get("bound")
+        raw = {}
+        if all(name in r.get("raw", {}) for r in parent + change):
+            rp = [r["raw"][name] for r in parent]
+            rc = [r["raw"][name] for r in change]
+            raw = {"parent": statistics.median(rp),
+                   "change": statistics.median(rc),
+                   "wins": _wins(rp, rc, lower)}
         rows.append({
             "name": name,
             "unit": metric["unit"],
@@ -84,32 +107,47 @@ def summarize(parent: list[dict], change: list[dict],
             "change_median": cm,
             "parent_iqr": spread,
             "change_pct": 100.0 * (cm - pm) / pm if pm else float("nan"),
-            "wins": sum((c < p) if lower else (c > p)
-                        for p, c in zip(pv, cv)),
+            "wins": _wins(pv, cv, lower),
             "pairs": len(pv),
             "resolved": abs(cm - pm) > spread,
             "worse_than_bound": bound is not None
             and worse > bound * abs(pm),
+            "raw_parent_median": raw.get("parent"),
+            "raw_change_median": raw.get("change"),
+            "raw_wins": raw.get("wins"),
         })
     return rows
+
+
+def _wins(parent: list[float], change: list[float], lower: bool) -> int:
+    """Pairs whose change value is better in the metric's direction."""
+    return sum((c < p) if lower else (c > p)
+               for p, c in zip(parent, change))
 
 
 def format_table(workload: str, rows: list[dict]) -> str:
     """The summary rows as an aligned text table."""
     lines = [f"{workload}: {rows[0]['pairs'] if rows else 0} pairs",
              f"  {'metric':<18}{'parent':>12}{'change':>12}"
-             f"{'parent IQR':>12}{'change':>10}{'wins':>8}  notes"]
+             f"{'parent IQR':>12}{'change':>10}{'wins':>8}"
+             f"{'raw parent':>12}{'raw change':>12}{'raw wins':>10}  notes"]
     for r in rows:
         notes = []
         if r["resolved"]:
             notes.append("beyond IQR")
         if r["worse_than_bound"]:
             notes.append("WORSE THAN BOUND")
+        if r["raw_wins"] is None:
+            raw = f"{'-':>12}{'-':>12}{'-':>10}"
+        else:
+            raw = (f"{r['raw_parent_median']:>12.4g}"
+                   f"{r['raw_change_median']:>12.4g}"
+                   f"{r['raw_wins']:>7}/{r['pairs']:<2}")
         lines.append(
             f"  {r['name']:<18}{r['parent_median']:>12.4g}"
             f"{r['change_median']:>12.4g}{r['parent_iqr']:>12.4g}"
             f"{r['change_pct']:>+9.1f}%{r['wins']:>5}/{r['pairs']:<2}"
-            f"  {', '.join(notes)}")
+            f"{raw}  {', '.join(notes)}")
     return "\n".join(lines)
 
 
