@@ -86,7 +86,10 @@ class Adc:
         broadcasts against ``x.shape + (2,)`` (e.g. one per row).
 
         I and Q quantise alike, so both run as one pass over the
-        ``(..., n, 2)`` float64 view of ``x``.
+        ``(..., n, 2)`` float64 view of ``x``, and the samples are
+        reassembled in that clip buffer: ``q_i * 0.0`` and ``+ 0.0``
+        are what ``q_r + 1j * q_i`` adds to each plane, so the result
+        carries the same values and signs of zero.
         """
         if self.bits < 1:
             raise ValueError("ADC needs at least 1 bit")
@@ -97,7 +100,10 @@ class Adc:
         q /= step
         np.round(q, out=q)
         q *= step
-        return q[..., 0] + 1j * q[..., 1]
+        q_r, q_i = q[..., 0], q[..., 1]
+        q_r += q_i * 0.0
+        q_i += 0.0
+        return q.view(np.complex128).reshape(x.shape)
 
     def for_signal(self, x: np.ndarray,
                    headroom_db: float = _AGC_HEADROOM_DB) -> "Adc":
@@ -128,8 +134,11 @@ class Adc:
             rms == 0, self.full_scale,
             rms * db_to_linear(_AGC_HEADROOM_DB / 2.0) * np.sqrt(2.0))
         full_scale = row_scale[..., None, None]
-        saturated = ((np.max(np.abs(x.real), axis=-1) > row_scale)
-                     | (np.max(np.abs(x.imag), axis=-1) > row_scale))
+        # Some |I| or |Q| above the row's scale: the largest or the
+        # smallest of its interleaved I/Q planes lies outside the scale.
+        iq = x.view(np.float64).reshape(x.shape + (2,))
+        saturated = ((np.max(iq, axis=(-2, -1)) > row_scale)
+                     | (np.min(iq, axis=(-2, -1)) < -row_scale))
         return self._quantize(x, full_scale), saturated
 
 

@@ -42,6 +42,19 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
+def _non_negative_int(text: str) -> int:
+    """An ``argparse`` type: an int of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -172,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default new sessions to warm decoding "
                             "(carry cancellation/sync state across "
                             "exchanges)")
-    serve.add_argument("--telemetry-records", type=int, default=4096,
+    serve.add_argument("--telemetry-records", type=_non_negative_int,
+                       default=4096,
                        help="in-memory telemetry ring size "
                             "(default: %(default)s)")
     serve.add_argument("--chaos-intensity", type=float, default=None,

@@ -234,13 +234,24 @@ def stacked_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
             shifts[k, k:k + n] = x
         return np.broadcast_to(h, batch + (m,)) @ shifts
     # Stacked signals: sliding windows over the zero-padded signal give
-    # conv[i] = sum_k x_pad[i + k] h[m - 1 - k] as a batched matvec.
+    # conv[i] = sum_k x_pad[i + k] h[m - 1 - k] as a batched matvec.  The
+    # padded stack is never built: the interior outputs read windows of
+    # the signal itself, and the (m - 1)-sample edges windows of two
+    # small padded pieces, so every output sees the operands of the
+    # padded form in the same order.
     xb = np.broadcast_to(x, batch + (n,))
-    pad = np.zeros(batch + (m - 1,), dtype=np.complex128)
-    xp = np.concatenate([pad, xb, pad], axis=-1)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, m, axis=-1)
     h_rev = np.broadcast_to(h[..., ::-1, np.newaxis], batch + (m, 1))
-    return (windows @ h_rev)[..., 0]
+    out = np.empty(batch + (out_len, 1), dtype=np.complex128)
+    windows = np.lib.stride_tricks.sliding_window_view
+    np.matmul(windows(xb, m, axis=-1), h_rev, out=out[..., m - 1:n, :])
+    if m > 1:
+        head = np.zeros(batch + (2 * (m - 1),), dtype=np.complex128)
+        tail = np.zeros_like(head)
+        head[..., m - 1:] = xb[..., :m - 1]
+        tail[..., :m - 1] = xb[..., n - m + 1:]
+        np.matmul(windows(head, m, axis=-1), h_rev, out=out[..., :m - 1, :])
+        np.matmul(windows(tail, m, axis=-1), h_rev, out=out[..., n:, :])
+    return out[..., 0]
 
 
 def _fft_correlate_valid(x: np.ndarray, t: np.ndarray) -> np.ndarray:

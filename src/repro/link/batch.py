@@ -12,10 +12,13 @@ and :func:`run_exchange_batch` groups its elements by transmission key
 group as one stack.  The channels run over the stack through
 :func:`~repro.dsp.fastpath.stacked_convolve`, and the drift processes
 through one :func:`~repro.channel.hardware.ar1_filter` call per AR(1)
-pole, over that pole's rows.  Each row draws on its own generator in
-the scalar order (payload bits, interferer payloads, env drift,
-Doppler, EVM, AWGN), so ``rngs`` must be independent per-row
-generators.
+pole, over that pole's rows.  The receive stages draw across the
+stack in turn -- every row's env drift, then Doppler and EVM, then
+AWGN -- so the stack holds one innovation stack and one noise row at a
+time, and each row still draws on its own generator in the scalar
+order (payload bits, interferer payloads, env drift, Doppler, EVM,
+AWGN).  ``rngs`` must therefore be independent per-row generators; one
+generator object passed for two rows is refused.
 
 A stack of one is bit for bit the scalar synthesis it replaced (kept in
 ``tests/synthesis_oracle.py``).  In a bigger stack, decoded bits,
@@ -61,6 +64,49 @@ from .session import ExchangeCapture, SessionResult, synthesize_ap_transmission
 __all__ = ["run_exchange_batch", "synthesize_stack"]
 
 
+_ELIDE_BYTES = 256 * 1024
+"""numpy's temporary-elision size (``NPY_MIN_ELIDE_BYTES``): a binary
+operation whose operand is an unnamed temporary at least this large
+reuses that temporary's buffer, in place."""
+
+
+def _distinct_generators(rngs: Sequence[np.random.Generator]) -> None:
+    """Refuse one generator object passed for two rows: the stages draw
+    across the rows in turn, so a shared generator would interleave
+    the rows' draws."""
+    first: dict[int, int] = {}
+    for b, rng in enumerate(rngs):
+        a = first.setdefault(id(rng), b)
+        if a != b:
+            raise ValueError(
+                f"rows {a} and {b} share one generator; rngs must be "
+                "independent per-row generators")
+
+
+def _drift_gain(w: np.ndarray, rho: float, prev: np.ndarray) -> np.ndarray:
+    """``1.0 + ar1_filter(w, rho, prev)``, in the filter's output buffer."""
+    gain = ar1_filter(w, rho, prev)
+    gain += 1.0
+    return gain
+
+
+def _drift(sig: np.ndarray, w: np.ndarray, rho: float,
+           prev: np.ndarray) -> np.ndarray:
+    """``sig * (1.0 + ar1_filter(w, rho, prev))``, in the gain's buffer.
+
+    The elision rule: the SIMD complex multiply rounds by operand
+    order, and numpy evaluated that expression, with ``t = 1.0 +
+    ar1_filter(...)`` an unnamed temporary, as ``t *= sig`` when ``t``
+    was at least :data:`_ELIDE_BYTES` and as ``sig * t`` below that;
+    both orders are kept, so the product is the expression's bit for
+    bit at any stack size.
+    """
+    gain = _drift_gain(w, rho, prev)
+    if gain.nbytes >= _ELIDE_BYTES:
+        return np.multiply(gain, sig, out=gain)
+    return np.multiply(sig, gain, out=gain)
+
+
 def synthesize_stack(
     transmission: tuple[ApTimeline, np.ndarray],
     scenes: Sequence[Scene],
@@ -87,6 +133,7 @@ def synthesize_stack(
     :class:`~repro.link.session.ExchangeCapture` per row, whose ``rx``
     is that row of the stack.
     """
+    _distinct_generators(rngs)
     timeline, x_pa = transmission
     n, n_samp = len(scenes), x_pa.size
 
@@ -130,27 +177,43 @@ def synthesize_stack(
                 other_scene.h_b, z_other * other_plan.reflection)
         rows.append((bits, plan, reflection, fault))
 
-    # --- reader receive: channels over the stack, draws row by row ----
+    # --- reader receive: channels over the stack, draws stage by stage --
+    # Each stage draws across the rows (env drift, then Doppler and EVM,
+    # then AWGN) and each row's generator still draws in the scalar
+    # order, so the draws match the scalar synthesis while one
+    # innovation stack and one noise row serve every row.
     si = conv(pad_stack([s.h_env for s in scenes]), x_pa)
+    # z_tag * reflection in the stack's own buffer: every capture keeps
+    # its own reflection array.
     backscatter = conv(pad_stack([s.h_b for s in scenes]),
-                       z_tag * reflections)
+                       np.multiply(z_tag, reflections, out=reflections))
+    del reflections
+    w = np.empty((n, n_samp), dtype=np.complex128)   # AR(1) innovations
+    prev = np.empty(n, dtype=np.complex128)
     drift_rows: dict[float, list[int]] = {}     # rows per AR(1) pole
-    w_env = np.empty((n, n_samp), dtype=np.complex128)
-    prev_env = np.empty(n, dtype=np.complex128)
-    if backscatter_evm > 0:
-        rho_evm, scale_evm = ar1_drift_params(
-            backscatter_evm, BACKSCATTER_EVM_COHERENCE_US * SAMPLES_PER_US)
-        w_evm = np.empty((n, n_samp), dtype=np.complex128)
-        prev_evm = np.empty(n, dtype=np.complex128)
-    noise = np.empty((n, n_samp), dtype=np.complex128)
     for b, scene in enumerate(scenes):
         env_rms = scene.config.env_drift_rms
         if env_rms > 0:
             rho_env, scale = ar1_drift_params(
                 env_rms, scene.config.env_drift_coherence_us * SAMPLES_PER_US)
             drift_rows.setdefault(rho_env, []).append(b)
-            _, prev_env[b] = draw_ar1_innovations(
-                n_samp, env_rms, scale, rngs[b], out=w_env[b])
+            _, prev[b] = draw_ar1_innovations(
+                n_samp, env_rms, scale, rngs[b], out=w[b])
+    # A pole shared by every row takes the whole stack, as the scalar
+    # synthesis took its one row, and the product lands in si's buffer.
+    si_owned = False
+    for rho_env, idx in drift_rows.items():
+        if len(idx) == n:
+            si, si_owned = _drift(si, w, rho_env, prev), True
+        else:
+            # Here the unnamed temporary was ``si[idx]``: the written
+            # order held at every size.
+            gain = _drift_gain(w[idx], rho_env, prev[idx])
+            si[idx] = np.multiply(si[idx], gain, out=gain)
+    if backscatter_evm > 0:
+        rho_evm, scale_evm = ar1_drift_params(
+            backscatter_evm, BACKSCATTER_EVM_COHERENCE_US * SAMPLES_PER_US)
+    for b in range(n):
         fault = rows[b][3]
         if fault is not None:
             backscatter[b] = fault.apply_backscatter(backscatter[b])
@@ -158,29 +221,19 @@ def synthesize_stack(
             backscatter[b] = backscatter[b] * backscatter_fading(
                 n_samp, tag_speed_m_s, rng=rngs[b])
         if backscatter_evm > 0:
-            _, prev_evm[b] = draw_ar1_innovations(
-                n_samp, backscatter_evm, scale_evm, rngs[b], out=w_evm[b])
-        awgn(n_samp, scene.noise_floor_mw, rngs[b], out=noise[b])
-
-    # Keep these products exactly as written: numpy's SIMD complex
-    # multiply rounds by operand order, and it evaluates
-    # ``si * (1.0 + g)`` in place as ``t *= si`` only when the temporary
-    # ``t`` is large enough to elide.  A pole shared by every row takes
-    # the whole stack, as the scalar synthesis took its one row.
-    for rho_env, idx in drift_rows.items():
-        if len(idx) == n:
-            si = si * (1.0 + ar1_filter(w_env, rho_env, prev_env))
-        else:
-            si[idx] = si[idx] * (1.0 + ar1_filter(w_env[idx], rho_env,
-                                                  prev_env[idx]))
+            _, prev[b] = draw_ar1_innovations(
+                n_samp, backscatter_evm, scale_evm, rngs[b], out=w[b])
     if backscatter_evm > 0:
-        backscatter = backscatter * (
-            1.0 + ar1_filter(w_evm, rho_evm, prev_evm))
+        backscatter = _drift(backscatter, w, rho_evm, prev)
+    del w
     # si + backscatter + interference + noise, summed in place; into
     # si's buffer when the drift gain gave it one of its own.
-    y = np.add(si, backscatter, out=si if si.flags.owndata else None)
+    y = np.add(si, backscatter, out=si if si_owned else None)
+    del si, backscatter
     y += interference
-    y += noise
+    noise = np.empty(n_samp, dtype=np.complex128)
+    for b, scene in enumerate(scenes):
+        y[b] += awgn(n_samp, scene.noise_floor_mw, rngs[b], out=noise)
 
     captures = []
     for b, (bits, plan, reflection, fault) in enumerate(rows):

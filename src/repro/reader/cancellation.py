@@ -269,11 +269,16 @@ class DigitalCanceller:
 
     def cancel(self, x: np.ndarray, residual: np.ndarray,
                silent_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (cleaned signal, estimated channel)."""
+        """Return (cleaned signal, estimated channel).
+
+        The cleaned signal is written into the reconstruction's buffer,
+        so a pass holds one array beside ``residual``, which it leaves
+        as it is.
+        """
         residual = np.asarray(residual)
         h = self.estimate(x, residual, silent_rows)
         recon = stacked_convolve(x, h)[..., : residual.shape[-1]]
-        return residual - recon, h
+        return np.subtract(residual, recon, out=recon), h
 
 
 @dataclass

@@ -213,6 +213,9 @@ class StreamingServer:
         """Slow telemetry subscribers disconnected under pressure
         (degradation ladder step 1)."""
         self._writers: set[asyncio.StreamWriter] = set()
+        self._handlers: set[asyncio.Task] = set()
+        """The connection tasks :meth:`aclose` cancels and awaits, so no
+        handler outlives the loop still pending on a read."""
         self._held: dict[str, tuple[int | None, np.ndarray]] = {}
         """Per-session chunk held back by an injected reorder, released
         when the next chunk arrives."""
@@ -277,12 +280,19 @@ class StreamingServer:
         self._drain_task = None
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         for q in list(self._subscribers):
             q.put_nowait(None)
         for w in list(self._writers):
             w.close()
+        handlers = self._handlers - {asyncio.current_task()}
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        if self._server is not None:
+            # Only now: from Python 3.12.1 this waits for every open
+            # connection to be dropped, which the lines above do.
+            await self._server.wait_closed()
+            self._server = None
         await self.mux.aclose()
         if self.collector is not None:
             if self._sink is not None:
@@ -339,6 +349,8 @@ class StreamingServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
         self._writers.add(writer)
         try:
             while not self._shutdown.is_set():
@@ -390,7 +402,14 @@ class StreamingServer:
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
+        except asyncio.CancelledError:
+            # aclose cancels the connections it closes: end those as
+            # closed ones, since the stream protocol's done callback
+            # raises on a task that ends cancelled.
+            if not self._shutdown.is_set():
+                raise
         finally:
+            self._handlers.discard(task)
             self._writers.discard(writer)
             writer.close()
 

@@ -23,6 +23,7 @@ import math
 import os
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -206,9 +207,11 @@ class TelemetryCollector:
     max_records:
         Keep only the most recent N span records in memory (the
         long-running streaming service would otherwise grow without
-        bound).  ``None`` (the default) keeps everything.  Dropped spans
-        are counted in :attr:`dropped_records`; sinks still see every
-        record as it completes.
+        bound), in a ring that drops its oldest record per append once
+        full.  ``None`` (the default) keeps everything; a negative size
+        is refused.  Dropped spans are counted in
+        :attr:`dropped_records`; sinks still see every record as it
+        completes.
 
     Use directly, or as a context manager that installs itself as the
     current collector and saves on exit::
@@ -232,6 +235,9 @@ class TelemetryCollector:
                  directory: str | os.PathLike | None = None,
                  label: str = "",
                  max_records: int | None = None):
+        if max_records is not None and max_records < 0:
+            raise ValueError(
+                f"max_records must be non-negative, got {max_records}")
         if run_id is None:
             run_id = time.strftime("%Y%m%d-%H%M%S") + f"-{os.getpid()}"
         self.run_id = str(run_id)
@@ -244,7 +250,7 @@ class TelemetryCollector:
         self.scenario_hash: str | None = None
         self.path: Path | None = None
         self.dropped_records = 0
-        self._records: list[dict[str, Any]] = []
+        self._records: deque[dict[str, Any]] = deque(maxlen=max_records)
         self._counters: dict[str, int] = {}
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -280,12 +286,9 @@ class TelemetryCollector:
     def _append(self, record: dict[str, Any]) -> None:
         """Store one completed record and fan it out to the sinks."""
         with self._lock:
+            if len(self._records) == self.max_records:
+                self.dropped_records += 1       # the ring drops its oldest
             self._records.append(record)
-            if self.max_records is not None \
-                    and len(self._records) > self.max_records:
-                drop = len(self._records) - self.max_records
-                del self._records[:drop]
-                self.dropped_records += drop
             sinks = tuple(self._sinks)
         for sink in sinks:
             try:

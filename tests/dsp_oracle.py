@@ -11,7 +11,9 @@ paths off), the stepwise LFSR, the Python-loop AR(1) recursion and the
 hold the package to and the "direct" arms of
 ``benchmarks/bench_hotpaths.py`` time.  The LS design matrix that
 zero-pads and windows the whole capture, whichever rows it keeps, is
-here too (``convolution_matrix_full``).
+here too (``convolution_matrix_full``), and so is the stacked
+convolution that windowed a zero-padded copy of its signal stack
+(``stacked_convolve_padded``).
 """
 
 from __future__ import annotations
@@ -45,6 +47,29 @@ def convolution_matrix_full(x: np.ndarray, n_taps: int,
     if rows is None:
         return full
     return full[np.asarray(rows, dtype=np.intp)]
+
+
+# -- stacked convolution over a zero-padded copy of the signals --------
+
+
+def stacked_convolve_padded(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The stacked-signal branch of
+    :func:`repro.dsp.fastpath.stacked_convolve` as it windowed a
+    zero-padded copy of the whole signal stack.
+
+    ``x`` is the signal stack and ``h`` the filter (stack), no longer
+    than the signals; their batch axes broadcast.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    h = np.asarray(h, dtype=np.complex128)
+    m = h.shape[-1]
+    batch = np.broadcast_shapes(x.shape[:-1], h.shape[:-1])
+    xb = np.broadcast_to(x, batch + x.shape[-1:])
+    pad = np.zeros(batch + (m - 1,), dtype=np.complex128)
+    xp = np.concatenate([pad, xb, pad], axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, m, axis=-1)
+    h_rev = np.broadcast_to(h[..., ::-1, np.newaxis], batch + (m, 1))
+    return (windows @ h_rev)[..., 0]
 
 
 # -- fine timing: one least-squares fit per candidate offset -----------

@@ -6,19 +6,33 @@ CRCs in :mod:`repro.utils.crc` run a byte at a time from a table.  This
 module keeps the original forms -- one Python iteration per OFDM symbol
 (with the single-symbol ``assemble_symbol``/``add_cyclic_prefix`` and
 ``interleave`` and the sliding-window ``conv_encode`` they called), the
-ADC quantiser that rounded I and Q as separate planes of one capture,
-and one Python step per CRC input bit -- as the oracles the property
-tests hold the fast kernels to, bit for bit.  The scalar exchange
-synthesizer (one exchange, one array per stage) is kept the same way,
-as the oracle a stack of one is held to.
+ADC quantiser that rounded I and Q as separate planes of one capture
+and the one-pass quantiser that reassembled them through complex
+temporaries, and one Python step per CRC input bit -- as the oracles
+the property tests hold the fast kernels to, bit for bit.  The scalar
+exchange synthesizer (one exchange, one array per stage) is kept the
+same way,
+as the oracle a stack of one is held to, and so is the stacked
+synthesizer that drew each row's stages in one pass
+(``synthesize_stack``), as the oracle the stage-ordered one is held to.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from dsp_oracle import stacked_convolve_padded
+from repro.channel.doppler import backscatter_fading
 from repro.channel.environment import Scene
-from repro.channel.hardware import PaNonlinearity, coherence_impairment
+from repro.channel.hardware import (
+    PaNonlinearity,
+    ar1_drift_params,
+    ar1_filter,
+    coherence_impairment,
+    draw_ar1_innovations,
+)
 from repro.channel.multipath import apply_channel
 from repro.channel.noise import awgn
 from repro.coding.convolutional import _PARITY, CONSTRAINT, puncture
@@ -32,7 +46,9 @@ from repro.constants import (
     SAMPLES_PER_US,
     SYMBOL_LENGTH,
 )
+from repro.dsp.fastpath import pad_stack, stacked_convolve
 from repro.faults import FaultPlan
+from repro.link.protocol import ApTimeline
 from repro.link.session import ExchangeCapture, synthesize_ap_transmission
 from repro.tag.detector import DetectionResult
 from repro.tag.tag import BackFiTag, BackscatterPlan
@@ -156,6 +172,22 @@ def adc_quantize(x: np.ndarray, full_scale: float, bits: int) -> np.ndarray:
         clipped = np.clip(v, -full_scale, full_scale - step)
         return np.round(clipped / step) * step
     return q(x.real) + 1j * q(x.imag)
+
+
+def adc_quantize_interleaved(x: np.ndarray, full_scale, bits: int
+                             ) -> np.ndarray:
+    """``Adc(bits)._quantize(x, full_scale)`` as one pass over the
+    interleaved I/Q planes, reassembled through two complex
+    temporaries (``full_scale`` a scalar or an array broadcasting
+    against ``x.shape + (2,)``)."""
+    levels = 1 << bits
+    step = 2.0 * full_scale / levels
+    iq = np.ascontiguousarray(x).view(np.float64).reshape(x.shape + (2,))
+    q = np.clip(iq, -full_scale, full_scale - step)
+    q /= step
+    np.round(q, out=q)
+    q *= step
+    return q[..., 0] + 1j * q[..., 1]
 
 
 # -- CRCs, one bit at a time --------------------------------------------
@@ -316,3 +348,153 @@ def synthesize_exchange(
         reflection=reflection,
         injected_faults=tuple(fault.injected) if fault is not None else (),
     )
+
+
+def synthesize_stack(
+    transmission: tuple[ApTimeline, np.ndarray],
+    scenes: Sequence[Scene],
+    tags: Sequence[BackFiTag],
+    rngs: Sequence[np.random.Generator],
+    *,
+    payload_bits: np.ndarray | None = None,
+    n_payload_bits: int = 1000,
+    backscatter_evm: float = BACKSCATTER_EVM_RMS,
+    tag_speed_m_s: float = 0.0,
+    interferers: list[tuple[BackFiTag, Scene]] | None = None,
+    use_tag_detector: bool = False,
+    faults: FaultPlan | None = None,
+    exchange_index: int = 0,
+) -> tuple[np.ndarray, list[ExchangeCapture]]:
+    """Synthesize one exchange per (scene, tag, rng) row of a stack.
+
+    ``transmission`` is the shared ``(timeline, x_pa)`` pair of
+    :func:`~repro.link.session.synthesize_ap_transmission`; the options
+    are :func:`~repro.link.session.synthesize_exchange`'s tag-side ones
+    and apply to every row (each row realizes its own copy of
+    ``faults``, and ``interferers`` react in every row, in row order).
+    Returns the ``(n, n_samples)`` receive stack and one
+    :class:`~repro.link.session.ExchangeCapture` per row, whose ``rx``
+    is that row of the stack.
+
+    The stacked synthesizer as it drew row by row: each row's env
+    drift, Doppler, EVM and AWGN draws in one pass, into stacks of
+    their own, with the drift products written as expressions and the
+    backscatter convolved over a zero-padded copy of its signals
+    (``dsp_oracle.stacked_convolve_padded``).  The package's
+    :func:`repro.link.batch.synthesize_stack` must reproduce its
+    captures and generator end states bit for bit.
+    """
+    timeline, x_pa = transmission
+    n, n_samp = len(scenes), x_pa.size
+
+    def conv(h_stack: np.ndarray, sig: np.ndarray) -> np.ndarray:
+        # Stacks of two or more signals took the padded-copy branch;
+        # every other operand pair a branch that is unchanged.
+        if np.ndim(sig) == 2 and len(sig) > 1:
+            return stacked_convolve_padded(sig, h_stack)[..., :n_samp]
+        return stacked_convolve(sig, h_stack)[..., :n_samp]
+
+    # --- tag side, row by row (payload and interferer draws) ----------
+    z_tag = conv(pad_stack([s.h_f for s in scenes]), x_pa)
+    wake = None if use_tag_detector else timeline.wifi_start
+    rows = []
+    reflections = np.empty((n, n_samp), dtype=np.complex128)
+    interference = np.zeros((n if interferers else 1, n_samp),
+                            dtype=np.complex128)
+    for b in range(n):
+        fault = None if faults is None else faults.realize(exchange_index)
+        bits = payload_bits if payload_bits is not None else \
+            rngs[b].integers(0, 2, size=n_payload_bits, dtype=np.uint8)
+        tags[b].queue_data(bits)
+        if fault is not None and fault.detector_miss:
+            # The wake-up detector slept through the AP preamble: the
+            # tag never reflects and its queued data stays in memory.
+            plan = BackscatterPlan(
+                reflection=np.zeros(n_samp, dtype=np.complex128),
+                detection=DetectionResult(detected=False),
+            )
+        else:
+            plan = tags[b].backscatter(z_tag[b], wake_index=wake)
+        reflection = plan.reflection
+        if fault is not None:
+            reflection = fault.apply_reflection(reflection,
+                                                timeline.wifi_start)
+        reflections[b] = reflection
+        for other_tag, other_scene in interferers or ():
+            if other_tag.pending_bits == 0:
+                other_tag.queue_data(rngs[b].integers(0, 2, size=1000,
+                                                      dtype=np.uint8))
+            z_other = apply_channel(other_scene.h_f, x_pa)
+            other_plan = other_tag.backscatter(
+                z_other, wake_index=timeline.wifi_start)
+            interference[b] += apply_channel(
+                other_scene.h_b, z_other * other_plan.reflection)
+        rows.append((bits, plan, reflection, fault))
+
+    # --- reader receive: channels over the stack, draws row by row ----
+    si = conv(pad_stack([s.h_env for s in scenes]), x_pa)
+    backscatter = conv(pad_stack([s.h_b for s in scenes]),
+                       z_tag * reflections)
+    drift_rows: dict[float, list[int]] = {}     # rows per AR(1) pole
+    w_env = np.empty((n, n_samp), dtype=np.complex128)
+    prev_env = np.empty(n, dtype=np.complex128)
+    if backscatter_evm > 0:
+        rho_evm, scale_evm = ar1_drift_params(
+            backscatter_evm, BACKSCATTER_EVM_COHERENCE_US * SAMPLES_PER_US)
+        w_evm = np.empty((n, n_samp), dtype=np.complex128)
+        prev_evm = np.empty(n, dtype=np.complex128)
+    noise = np.empty((n, n_samp), dtype=np.complex128)
+    for b, scene in enumerate(scenes):
+        env_rms = scene.config.env_drift_rms
+        if env_rms > 0:
+            rho_env, scale = ar1_drift_params(
+                env_rms, scene.config.env_drift_coherence_us * SAMPLES_PER_US)
+            drift_rows.setdefault(rho_env, []).append(b)
+            _, prev_env[b] = draw_ar1_innovations(
+                n_samp, env_rms, scale, rngs[b], out=w_env[b])
+        fault = rows[b][3]
+        if fault is not None:
+            backscatter[b] = fault.apply_backscatter(backscatter[b])
+        if tag_speed_m_s > 0:
+            backscatter[b] = backscatter[b] * backscatter_fading(
+                n_samp, tag_speed_m_s, rng=rngs[b])
+        if backscatter_evm > 0:
+            _, prev_evm[b] = draw_ar1_innovations(
+                n_samp, backscatter_evm, scale_evm, rngs[b], out=w_evm[b])
+        awgn(n_samp, scene.noise_floor_mw, rngs[b], out=noise[b])
+
+    # Keep these products exactly as written: numpy's SIMD complex
+    # multiply rounds by operand order, and it evaluates
+    # ``si * (1.0 + g)`` in place as ``t *= si`` only when the temporary
+    # ``t`` is large enough to elide.  A pole shared by every row takes
+    # the whole stack, as the scalar synthesis took its one row.
+    for rho_env, idx in drift_rows.items():
+        if len(idx) == n:
+            si = si * (1.0 + ar1_filter(w_env, rho_env, prev_env))
+        else:
+            si[idx] = si[idx] * (1.0 + ar1_filter(w_env[idx], rho_env,
+                                                  prev_env[idx]))
+    if backscatter_evm > 0:
+        backscatter = backscatter * (
+            1.0 + ar1_filter(w_evm, rho_evm, prev_evm))
+    # si + backscatter + interference + noise, summed in place; into
+    # si's buffer when the drift gain gave it one of its own.
+    y = np.add(si, backscatter, out=si if si.flags.owndata else None)
+    y += interference
+    y += noise
+
+    captures = []
+    for b, (bits, plan, reflection, fault) in enumerate(rows):
+        if fault is not None:
+            y[b] = fault.apply_rx(y[b], scenes[b].noise_floor_mw)
+        captures.append(ExchangeCapture(
+            timeline=timeline,
+            plan=plan,
+            payload_bits=bits,
+            x_pa=x_pa,
+            rx=y[b],
+            z_tag=z_tag[b],
+            reflection=reflection,
+            injected_faults=() if fault is None else tuple(fault.injected),
+        ))
+    return y, captures

@@ -16,7 +16,12 @@
   bit; ``complex_normal`` against the two-draw expression it replaces;
   the two-plane SciPy AR(1) against the numpy reference recursion
   (``dsp_oracle.py``); the stacked AGC/ADC against the original
-  per-capture quantiser.
+  per-capture quantiser, and its in-buffer I/Q reassembly against the
+  one-pass quantiser that built complex temporaries, over every sign
+  of zero.
+* The stacked-signal convolution, which windows the unpadded stack and
+  two padded edge pieces, against the form that windowed a zero-padded
+  copy of the stack (``dsp_oracle.py``), bit for bit.
 """
 
 import sys
@@ -31,7 +36,11 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import synthesis_oracle
-from dsp_oracle import ar1_loop, convolution_matrix_full
+from dsp_oracle import (
+    ar1_loop,
+    convolution_matrix_full,
+    stacked_convolve_padded,
+)
 from repro.channel.hardware import Adc, ar1_filter
 from repro.channel.noise import complex_normal
 from repro.coding.convolutional import _PARITY, CONSTRAINT, N_STATES
@@ -41,6 +50,7 @@ from repro.coding.viterbi import (
     viterbi_decode_soft,
     viterbi_decode_soft_batch,
 )
+from repro.dsp.fastpath import stacked_convolve, use_fft
 from repro.reader import cancellation
 from repro.reader.cancellation import convolution_matrix, ls_channel_estimate
 from repro.reader.channel_est import estimate_combined_channel
@@ -407,3 +417,93 @@ def test_stacked_agc_adc_matches_per_row_converter(n_batch, n, bits, seed,
     one, sat_one = adc.agc_quantize(x[0])
     assert one.tobytes() == quantized[0].tobytes()
     assert sat_one.shape == () and bool(sat_one) == bool(saturated[0])
+
+
+# A value mix with both signs of zero, values that round to a signed
+# zero, values past the ADC's full scale and ordinary ones.
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 3.5, -3.5]),
+                    st.floats(-4.0, 4.0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(rows=st.integers(1, 4), n=st.integers(1, 40),
+       bits=st.integers(1, 12), full_scale=st.floats(0.01, 8.0),
+       data=st.data())
+def test_adc_reassembly_matches_temporaries_form(rows, n, bits, full_scale,
+                                                 data):
+    planes = np.array(data.draw(st.lists(_SIGNED, min_size=2 * rows * n,
+                                         max_size=2 * rows * n)))
+    x = planes.view(np.complex128).reshape(rows, n)
+    adc = Adc(bits=bits, full_scale=full_scale)
+    ref = synthesis_oracle.adc_quantize_interleaved(x, full_scale, bits)
+    assert adc.quantize(x).tobytes() == ref.tobytes()
+    # The AGC'd stack: one full scale per row, broadcast as the stack
+    # quantiser takes it.
+    quantized, saturated = adc.agc_quantize(x)
+    scales = np.array([adc.for_signal(row).full_scale for row in x])
+    ref = synthesis_oracle.adc_quantize_interleaved(
+        x, scales[:, None, None], bits)
+    assert quantized.tobytes() == ref.tobytes()
+    assert saturated.tolist() == [
+        bool(np.max(np.abs(row.real)) > fs or np.max(np.abs(row.imag)) > fs)
+        for row, fs in zip(x, scales)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(1, 40), bits=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_adc_nan_samples_stay_nan(n, bits, seed, data):
+    # A NaN plane stays NaN (its sign bit may differ); every other plane
+    # matches the temporaries form bit for bit.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    planes = x.view(np.float64)
+    nan_at = data.draw(st.lists(st.integers(0, 2 * n - 1), min_size=1,
+                                max_size=2 * n))
+    planes[nan_at] = data.draw(st.sampled_from([np.nan, -np.nan]))
+    got = Adc(bits=bits, full_scale=1.5).quantize(x).view(np.float64)
+    ref = synthesis_oracle.adc_quantize_interleaved(x, 1.5, bits) \
+        .view(np.float64)
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == ref[~nan].tobytes()
+
+
+@st.composite
+def _conv_operands(draw):
+    """A signal stack of at least two rows and a filter (stack) no
+    longer than the signals and below the FFT crossover -- operands
+    that reach ``stacked_convolve``'s stacked-signal branch -- with
+    signed zeros and, now and then, non-finite taps.  With ``swap`` the
+    filter comes first (``stacked_convolve`` puts the longer operand
+    first, so the signals must be strictly longer)."""
+    m = draw(st.integers(1, 48))
+    swap = draw(st.booleans())
+    n = draw(st.integers(m + 1 if swap else m, m + 120))
+    batch = draw(st.sampled_from([(2,), (3,), (5,), (2, 3)]))
+    h_batch = draw(st.sampled_from([batch, batch[:-1] + (1,), ()]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def signed(shape):
+        z = rng.standard_normal(shape + (2,))
+        z[rng.random(shape + (2,)) < 0.2] = 0.0
+        z *= np.where(rng.random(shape + (2,)) < 0.5, -1.0, 1.0)
+        return z.view(np.complex128)[..., 0]
+
+    x, h = signed(batch + (n,)), signed(h_batch + (m,))
+    special = draw(st.sampled_from([None, np.inf, -np.inf, np.nan]))
+    if special is not None:
+        h.flat[draw(st.integers(0, h.size - 1))] = complex(special, 0.5)
+    return x, h, swap
+
+
+@settings(deadline=None, max_examples=80)
+@given(ops=_conv_operands())
+def test_stacked_convolve_matches_padded_copy_form(ops):
+    x, h, swap = ops
+    assert not use_fft(x.shape[-1], h.shape[-1])
+    with np.errstate(invalid="ignore"):
+        got = stacked_convolve(h, x) if swap else stacked_convolve(x, h)
+        ref = stacked_convolve_padded(x, h)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()

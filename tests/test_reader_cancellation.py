@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channel import Adc, awgn, exponential_pdp_channel, apply_channel
+from repro.dsp.fastpath import stacked_convolve
 from repro.reader import (
     AnalogCanceller,
     DigitalCanceller,
@@ -136,6 +137,24 @@ class TestDigitalCanceller:
         resid_wanted = cleaned[1000:] - wanted[1000:]
         assert power(resid_wanted) < 0.05 * power(wanted[1000:])
 
+    @pytest.mark.parametrize("rows_in_stack", [None, 1, 3])
+    def test_subtracts_in_its_own_buffer(self, rng, rows_in_stack):
+        # The cleaned signal is residual - recon bit for bit, written
+        # into the reconstruction's buffer: the residual is left as it
+        # was.
+        x = _wideband(rng, 3000)
+        y = apply_channel(1e-3 * exponential_pdp_channel(100e-9, rng=rng),
+                          x) + awgn(3000, 1e-12, rng)
+        if rows_in_stack is not None:
+            y = np.stack([y * (1.0 + 0.5j * r) for r in range(rows_in_stack)])
+        before = y.copy()
+        canceller = DigitalCanceller(n_taps=8)
+        cleaned, h = canceller.cancel(x, y, np.arange(100, 500))
+        assert y.tobytes() == before.tobytes()
+        recon = stacked_convolve(x, h)[..., :y.shape[-1]]
+        assert cleaned.shape == y.shape
+        assert cleaned.tobytes() == np.ascontiguousarray(y - recon).tobytes()
+
 
 class TestFullChain:
     def _setup(self, rng):
@@ -165,6 +184,22 @@ class TestFullChain:
                                                   rng=rng)
         # Without analog cancellation the residual floor is far worse.
         assert power(out.cleaned[silent]) > 10 * power(full.cleaned[silent])
+
+    def test_digital_stage_runs_the_cancellers_cancel(self, rng):
+        # The chain's digital stage is DigitalCanceller.cancel itself, so
+        # a subclass that overrides it is the stage that runs.
+        calls = []
+
+        class Recording(DigitalCanceller):
+            def cancel(self, x, residual, silent_rows):
+                cleaned, h = super().cancel(x, residual, silent_rows)
+                calls.append(cleaned)
+                return cleaned, h
+
+        x, h_env, y, silent = self._setup(rng)
+        out = SelfInterferenceCanceller(digital=Recording()).cancel(
+            x, y, h_env, silent, rng=rng)
+        assert len(calls) == 1 and np.shares_memory(calls[0], out.cleaned)
 
     def test_digital_disabled_leaves_analog_residue(self, rng):
         x, h_env, y, silent = self._setup(rng)

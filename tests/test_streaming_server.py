@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import gc
 import hashlib
 import http.client
 import io
 import json
+import logging
 import socket
 import threading
 import time
@@ -829,3 +831,32 @@ class TestClientTransport:
             client.close()
             peer.close()
         assert client.retries == 1 and client.reconnects == 1
+
+
+class TestShutdown:
+    def test_exit_leaves_no_connection_task_pending(self, caplog):
+        # An idle keep-alive connection and a half-sent request each
+        # hold a handler blocked on a read when the block exits; both
+        # must be cancelled and awaited before the loop closes, or
+        # collecting them logs "Task was destroyed but it is pending!".
+        # (Debug-mode loops log connections at DEBUG, so warnings up.)
+        with ServerThread(default_scenario=SCENARIO) as server:
+            caplog.set_level(logging.WARNING, logger="asyncio")
+            idle = socket.create_connection(("127.0.0.1", server.port),
+                                            timeout=10)
+            idle.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert idle.recv(1 << 16).startswith(b"HTTP/1.1 200")
+            half = socket.create_connection(("127.0.0.1", server.port),
+                                            timeout=10)
+            half.sendall(b"POST /sessions HTTP/1.1\r\n"
+                         b"Content-Length: 64\r\n\r\n{\"scen")
+            deadline = time.monotonic() + 10
+            while len(server.server._handlers) < 2:
+                assert time.monotonic() < deadline, "connection not handled"
+                time.sleep(0.01)
+        assert not server.server._handlers
+        idle.close()
+        half.close()
+        gc.collect()
+        assert [r.getMessage() for r in caplog.records
+                if r.name.startswith("asyncio")] == []

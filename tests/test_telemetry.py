@@ -115,6 +115,66 @@ class TestCollector:
         assert get_collector() is before
 
 
+class TestRecordRing:
+    """``max_records`` bounds the in-memory records to a ring: the most
+    recent spans, in completion order, with the dropped ones counted."""
+
+    @staticmethod
+    def _spans(tm, names):
+        for name in names:
+            with tm.span(name):
+                pass
+
+    def test_keeps_the_newest_in_order_and_counts_the_rest(self):
+        tm = TelemetryCollector(run_id="ring", max_records=3)
+        seen = []
+        tm.add_sink(seen.append)
+        for i in range(6):
+            self._spans(tm, [f"s{i}"])
+            kept = [f"s{j}" for j in range(max(0, i - 2), i + 1)]
+            assert [r["name"] for r in tm.spans] == kept
+            assert tm.dropped_records == max(0, i - 2)
+        # The sinks still saw every record as it completed.
+        assert [r["name"] for r in seen] == [f"s{i}" for i in range(6)]
+        assert [r["seq"] for r in tm.records()[1:]] == [4, 5, 6]
+
+    def test_save_writes_the_drop_count_in_the_meta_line(self, tmp_path):
+        tm = TelemetryCollector(run_id="ring", directory=tmp_path,
+                                max_records=2)
+        self._spans(tm, ["a", "b", "c"])
+        tm.count("decodes")
+        lines = [json.loads(ln)
+                 for ln in tm.save().read_text().splitlines()]
+        assert lines[0]["kind"] == "meta"
+        assert lines[0]["dropped_records"] == 1
+        assert [r["name"] for r in lines[1:3]] == ["b", "c"]
+        assert lines[3] == {"v": 1, "kind": "counter", "name": "decodes",
+                            "value": 1}
+
+    def test_unbounded_and_empty_rings(self):
+        tm = TelemetryCollector(run_id="all")
+        self._spans(tm, ["a", "b", "c"])
+        assert len(tm.spans) == 3 and tm.dropped_records == 0
+        assert "dropped_records" not in tm.records()[0]
+        tm = TelemetryCollector(run_id="none", max_records=0)
+        self._spans(tm, ["a", "b"])
+        assert tm.spans == [] and tm.dropped_records == 2
+
+    def test_negative_size_is_refused(self):
+        with pytest.raises(ValueError, match="max_records"):
+            TelemetryCollector(run_id="neg", max_records=-1)
+
+    def test_serve_refuses_a_negative_ring(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--telemetry-records", "-1"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --telemetry-records: must be non-negative, " \
+            "got -1" in err
+
+
 class TestJsonlRoundTrip:
     def test_save_and_load(self, tmp_path):
         tm = TelemetryCollector(run_id="run1", directory=tmp_path,
