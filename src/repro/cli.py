@@ -177,10 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "section)")
     serve.add_argument("--chunk-samples", type=int, default=None,
                        help="advertised ingest chunk size")
-    serve.add_argument("--backpressure", default=None,
-                       choices=("wait", "shed"),
-                       help="full-ring policy: block the producer, or "
-                            "refuse the chunk with 429")
     serve.add_argument("--warm-start", action="store_true",
                        help="default new sessions to warm decoding "
                             "(carry cancellation/sync state across "
@@ -523,7 +519,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cfg = sc.streaming or StreamingConfig()
     flag_over = {
         name: getattr(args, name)
-        for name in ("max_sessions", "chunk_samples", "backpressure")
+        for name in ("max_sessions", "chunk_samples")
         if getattr(args, name) is not None
     }
     if args.warm_start:
@@ -568,8 +564,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"  default scenario : {scenario_name} "
               f"[{sc.scenario_hash()}]", flush=True)
         print(f"  sessions         : up to {cfg.max_sessions} "
-              f"({cfg.backpressure} backpressure, "
-              f"{cfg.chunk_samples}-sample chunks)", flush=True)
+              f"({cfg.chunk_samples}-sample chunks)", flush=True)
         if cfg.watchdog_deadline_s is not None:
             print(f"  watchdog         : reap stalled sessions after "
                   f"{cfg.watchdog_deadline_s:g}s", flush=True)

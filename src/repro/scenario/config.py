@@ -238,25 +238,17 @@ class LinkConfig:
 class StreamingConfig:
     """Streaming-service knobs of a scenario (``repro serve``).
 
-    Controls how the decode service ingests this scenario's sessions:
-    chunking, per-session ring depth, the multiplexer's session ceiling,
-    and what happens when a producer outruns the decoder.  See
-    ``docs/STREAMING.md``.
+    Controls how the decode service serves this scenario's sessions:
+    chunking, the multiplexer's session ceiling, warm decoding, the
+    watchdog and graceful degradation.  See ``docs/STREAMING.md``.
     """
 
     chunk_samples: int = 4096
     """Samples per ingest chunk the service advertises to producers."""
 
-    ring_chunks: int = 64
-    """Per-session bounded ring capacity, in chunks."""
-
     max_sessions: int = 64
     """Concurrent-session ceiling; opening one more is refused
     (overload shedding, HTTP 503)."""
-
-    backpressure: str = "wait"
-    """``"wait"`` blocks a producer whose session ring is full;
-    ``"shed"`` drops the chunk and reports it (HTTP 429)."""
 
     warm_start: bool = False
     """Carry digital-canceller taps and the sync offset across a
@@ -290,15 +282,8 @@ class StreamingConfig:
     def __post_init__(self) -> None:
         if self.chunk_samples <= 0:
             raise ValueError("chunk_samples must be positive")
-        if self.ring_chunks <= 0:
-            raise ValueError("ring_chunks must be positive")
         if self.max_sessions <= 0:
             raise ValueError("max_sessions must be positive")
-        if self.backpressure not in ("wait", "shed"):
-            raise ValueError(
-                f"unknown backpressure policy {self.backpressure!r}: "
-                "expected wait or shed"
-            )
         if self.decode_workers is not None and self.decode_workers <= 0:
             raise ValueError("decode_workers must be positive or None")
         if self.watchdog_deadline_s is not None \

@@ -199,7 +199,6 @@ def _register_presets() -> None:
         streaming=StreamingConfig(
             max_sessions=50,
             chunk_samples=4096,
-            ring_chunks=32,
             warm_start=True,
         ),
     ))
@@ -218,7 +217,6 @@ def _register_presets() -> None:
             # chaos anchors then land on distinct chunks and
             # drop/reorder/resume actually get exercised.
             chunk_samples=512,
-            ring_chunks=32,
             warm_start=False,
             watchdog_deadline_s=30.0,
         ),

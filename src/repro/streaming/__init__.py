@@ -7,12 +7,10 @@ call.  This package turns it into a long-running service:
   stateful decoding of one tag session; cold decodes are byte-identical
   to ``reader.decode``, warm ones carry cancellation/sync state across
   exchanges.
-* :class:`~repro.streaming.ring.ChunkRing` -- the bounded ingest buffer
-  in front of each session.
 * :class:`~repro.streaming.mux.SessionMultiplexer` -- many concurrent
-  sessions on one asyncio loop with explicit admission control,
-  per-chunk backpressure (``wait``/``shed``), idempotent indexed ingest
-  with checkpoint/resume, a stall watchdog, and graceful drain.
+  sessions on one asyncio loop with explicit admission control, chunk
+  ingest inside the request that carries the chunk, idempotent indexed
+  ingest with checkpoint/resume, a stall watchdog, and graceful drain.
 * :class:`~repro.streaming.server.StreamingServer` -- the HTTP/WebSocket
   front-end behind ``repro serve``, with a live telemetry push feed,
   ``/healthz`` + ``/readyz`` probes, and optional deterministic fault
@@ -36,9 +34,8 @@ from .client import RetryBudget, RetryPolicy, ServiceClient, \
     run_session
 from .decoder import DEFAULT_WARM_SYNC_SEARCH_US, StreamProgress, \
     StreamingDecoder, WarmState
-from .mux import ChunkShed, InjectedWorkerFault, MuxError, Overloaded, \
+from .mux import InjectedWorkerFault, MuxError, Overloaded, \
     SessionMultiplexer, UnknownSession
-from .ring import ChunkRing
 from .server import DEFAULT_PORT, ServerThread, StreamingServer, \
     result_summary
 from .session import CaptureSource, SessionStats, StreamSession, \
@@ -46,8 +43,6 @@ from .session import CaptureSource, SessionStats, StreamSession, \
 
 __all__ = [
     "CaptureSource",
-    "ChunkRing",
-    "ChunkShed",
     "DEFAULT_PORT",
     "DEFAULT_WARM_SYNC_SEARCH_US",
     "InjectedWorkerFault",

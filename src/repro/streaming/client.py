@@ -91,7 +91,7 @@ class ServiceHttpError(ServiceError):
         self.status = status
         self.payload = payload
         self.retryable = bool(payload.get("retryable")) \
-            or status in (429, 503)
+            or status == 503
 
 
 class RetryBudget(ServiceError):
@@ -144,7 +144,7 @@ class ServiceClient:
     ``timeout`` is the per-request socket deadline: reads that exceed
     it raise :class:`ServiceTimeout` instead of hanging on a dead
     server.  With a :class:`RetryPolicy`, retryable failures (timeouts,
-    disconnects, 429/503, ``retryable`` error payloads) reconnect and
+    disconnects, 503, ``retryable`` error payloads) reconnect and
     replay automatically -- safe because chunk pushes are idempotent
     when indexed.  ``retry=None`` disables all recovery (the naive
     arm).  The socket opens on the first request and after every
@@ -348,7 +348,7 @@ def _stream_exchange_hardened(client: ServiceClient, session_id: str,
     """Hardened arm: canonical indexed chunks, CRC'd, idempotent.
 
     Each push retries through the client's policy; because chunks are
-    keyed by index, a replay after a timeout/reset/shed lands exactly
+    keyed by index, a replay after a timeout or reset lands exactly
     where the original would have (duplicates ack harmlessly), and the
     server's out-of-order stash absorbs injected reorders.  The final
     chunk doubles as the decode trigger, so replaying it also recovers

@@ -95,11 +95,12 @@ class WarmState:
 class StreamingDecoder:
     """Decodes one tag session's exchanges from chunked sample ingest.
 
-    One instance per session; not thread-safe (the multiplexer serialises
-    each session onto one consumer).  ``warm_start=False`` (the default)
-    makes every exchange an independent cold decode, byte-identical to
-    the batch path; ``warm_start=True`` trades that equivalence for
-    skipped re-fits on stable channels.
+    One instance per session; not thread-safe (the multiplexer leaves a
+    decoder alone while its frame-barrier decode runs on a worker).
+    ``warm_start=False`` (the default) makes every exchange an
+    independent cold decode, byte-identical to the batch path;
+    ``warm_start=True`` trades that equivalence for skipped re-fits on
+    stable channels.
     """
 
     def __init__(self, reader: BackFiReader, *, warm_start: bool = False,
@@ -251,7 +252,7 @@ class StreamingDecoder:
 
     def abort_exchange(self) -> None:
         """Drop the current exchange's partial capture (session teardown,
-        or a producer giving up after shed chunks)."""
+        or a producer giving up on the exchange)."""
         self._reset_exchange()
 
     # -- the frame barrier -------------------------------------------------

@@ -1,11 +1,13 @@
 """The asyncio session multiplexer: many tag sessions, one process.
 
 One :class:`SessionMultiplexer` owns every live
-:class:`~repro.streaming.session.StreamSession`.  Per session it runs a
-bounded :class:`~repro.streaming.ring.ChunkRing`, a consumer task that
-drains the ring into the session's decoder (chunk ingest is cheap and
-stays on the event loop), and -- at each frame barrier -- a decode
-dispatched to a shared thread pool so sessions decode concurrently.
+:class:`~repro.streaming.session.StreamSession`.  A pushed chunk is
+ingested in the call that carries it: the session's decoder
+analog-cancels it in place (microseconds, on the event loop), and the
+push that completes the capture starts the frame-barrier decode as one
+task on a shared thread pool, so sessions decode concurrently.  A
+producer therefore cannot outrun ingest: the request/response is the
+backpressure.
 
 Overload semantics are explicit, as a *degradation ladder* (cheapest
 capability shed first):
@@ -15,12 +17,7 @@ capability shed first):
 2. **Warm admission**: past ``degrade_warm_frac`` of capacity, new
    sessions are admitted *cold* (no warm-state carry) -- decode keeps
    flowing, each exchange just pays the full re-fit.
-3. **Chunk backpressure**: a producer outrunning its session's decoder
-   fills the ring.  Policy ``"wait"`` suspends the producer coroutine
-   until the consumer catches up (lossless, latency absorbed by the
-   producer); ``"shed"`` refuses the chunk with :class:`ChunkShed`
-   (HTTP 429) and counts it, letting the producer drop-and-resync.
-4. **Session admission**: opening a session beyond ``max_sessions``
+3. **Session admission**: opening a session beyond ``max_sessions``
    raises :class:`Overloaded` (HTTP 503).  Load is shed at the boundary
    instead of degrading every admitted session.
 
@@ -28,8 +25,9 @@ Resilience surfaces (all free on the happy path):
 
 * **Idempotent indexed ingest** -- a chunk tagged with its index maps
   to a fixed sample offset; replays of already-accepted spans are acked
-  as duplicates, out-of-order arrivals wait in a bounded stash until
-  the gap fills.  This is what makes client retry loops safe.
+  as duplicates, out-of-order arrivals wait in a stash (one entry per
+  offset inside the announced capture) until the gap fills.  This is
+  what makes client retry loops safe.
 * **Checkpoint/resume** -- :meth:`SessionMultiplexer.session_state`
   reports the submitted-samples high-water mark and next expected chunk
   index, so a reconnecting client resumes an interrupted exchange
@@ -58,16 +56,15 @@ from ..link.protocol import ApTimeline
 from ..reader.reader import ReaderResult
 from ..scenario import ScenarioConfig, StreamingConfig
 from ..telemetry import get_collector
-from .ring import ChunkRing
 from .session import StreamSession
 
-__all__ = ["ChunkShed", "InjectedWorkerFault", "MuxError", "Overloaded",
+__all__ = ["InjectedWorkerFault", "MuxError", "Overloaded",
            "SessionMultiplexer", "UnknownSession"]
 
 CLOSE_TIMEOUT_S = 30.0
-"""How long session teardown waits for the consumer task before
-cancelling it (a consumer wedged in a hung decode must not wedge
-shutdown too)."""
+"""How long session teardown, an abort or the next announce waits for
+a running frame-barrier decode (a hung decode must not wedge shutdown
+too)."""
 
 
 class MuxError(RuntimeError):
@@ -76,10 +73,6 @@ class MuxError(RuntimeError):
 
 class Overloaded(MuxError):
     """Session admission refused: the multiplexer is at capacity."""
-
-
-class ChunkShed(MuxError):
-    """Chunk refused: the session's ring is full under policy 'shed'."""
 
 
 class UnknownSession(MuxError):
@@ -97,15 +90,13 @@ class InjectedWorkerFault(MuxError):
 class _Entry:
     """One session's multiplexer-side state."""
 
-    __slots__ = ("session", "ring", "cond", "task", "future", "total",
-                 "submitted", "stash", "announce", "exchange_index",
-                 "chaos", "refinish", "dupes", "last_activity", "closing")
+    __slots__ = ("session", "decode", "future", "total", "submitted",
+                 "stash", "announce", "exchange_index", "chaos", "dupes",
+                 "last_activity")
 
-    def __init__(self, session: StreamSession, ring_chunks: int):
+    def __init__(self, session: StreamSession):
         self.session = session
-        self.ring = ChunkRing(ring_chunks)
-        self.cond: asyncio.Condition = asyncio.Condition()
-        self.task: asyncio.Task | None = None
+        self.decode: asyncio.Task | None = None   # the frame barrier
         self.future: asyncio.Future | None = None
         self.total: int | None = None     # announced capture length
         self.submitted = 0                # in-order accepted high-water
@@ -113,10 +104,13 @@ class _Entry:
         self.announce: dict[str, Any] | None = None
         self.exchange_index: int | None = None
         self.chaos: ChaosRealization | None = None
-        self.refinish = False             # re-run the frame barrier
         self.dupes = 0
         self.last_activity = time.monotonic()
-        self.closing = False
+
+    @property
+    def decoding(self) -> bool:
+        """Whether a frame-barrier decode is running on the decoder."""
+        return self.decode is not None and not self.decode.done()
 
 
 class SessionMultiplexer:
@@ -141,7 +135,6 @@ class SessionMultiplexer:
         self.opened = 0
         self.refused = 0
         self.decoded = 0
-        self.sheds = 0
         self.dupes = 0
         self.worker_faults = 0
         self.watchdog_reaps = 0
@@ -261,10 +254,7 @@ class SessionMultiplexer:
             lambda: StreamSession(session_id, scenario,
                                   warm_start=warm_start))
         session.admission_degraded = degraded
-        entry = _Entry(session, self.config.ring_chunks)
-        entry.task = asyncio.create_task(self._consume(entry),
-                                         name=f"repro-mux-{session_id}")
-        self._sessions[session_id] = entry
+        self._sessions[session_id] = _Entry(session)
         self.opened += 1
         return session
 
@@ -272,15 +262,8 @@ class SessionMultiplexer:
         """Tear one session down; returns its final stats dict."""
         entry = self._entry(session_id)
         del self._sessions[session_id]
-        async with entry.cond:
-            entry.closing = True
-            entry.cond.notify_all()
-        if entry.task is not None:
-            try:
-                await asyncio.wait_for(entry.task,
-                                       timeout=CLOSE_TIMEOUT_S)
-            except asyncio.TimeoutError:
-                pass    # wait_for cancelled the wedged consumer
+        if not await self._settle(entry):
+            entry.decode.cancel()   # the wedged decode's result is moot
         if entry.future is not None and not entry.future.done():
             entry.future.set_exception(
                 MuxError(f"session {session_id!r} closed mid-exchange"))
@@ -297,6 +280,23 @@ class SessionMultiplexer:
         except KeyError:
             raise UnknownSession(f"unknown session {session_id!r}") from None
 
+    @staticmethod
+    async def _settle(entry: _Entry) -> bool:
+        """Wait at most :data:`CLOSE_TIMEOUT_S` for a running decode;
+        returns whether the decoder is free of it."""
+        if entry.decoding:
+            await asyncio.wait({entry.decode}, timeout=CLOSE_TIMEOUT_S)
+        return not entry.decoding
+
+    async def _await_decoder(self, entry: _Entry) -> None:
+        """Before an announce's checks: an aborted exchange's decode may
+        still run (a pending exchange is refused by those checks)."""
+        if entry.future is not None and not entry.future.done():
+            return
+        if not await self._settle(entry):
+            raise MuxError(
+                f"session {entry.session.id!r} is still decoding")
+
     # -- exchanges ---------------------------------------------------------
 
     def _arm(self, entry: _Entry, n: int, index: int) -> None:
@@ -305,7 +305,6 @@ class SessionMultiplexer:
         entry.total = n
         entry.submitted = 0
         entry.stash.clear()
-        entry.refinish = False
         entry.exchange_index = index
         entry.chaos = None
         if self.chaos is not None:
@@ -334,6 +333,7 @@ class SessionMultiplexer:
         """
         entry = self._entry(session_id)
         entry.last_activity = time.monotonic()
+        await self._await_decoder(entry)
         if expected_index is not None and entry.announce is not None \
                 and expected_index == entry.announce["exchange"]:
             return dict(entry.announce)
@@ -358,6 +358,7 @@ class SessionMultiplexer:
             rng: np.random.Generator | None = None) -> dict[str, Any]:
         """Open an exchange whose capture the caller synthesized."""
         entry = self._entry(session_id)
+        await self._await_decoder(entry)
         if entry.future is not None and not entry.future.done():
             raise MuxError(
                 f"session {session_id!r} still has an exchange "
@@ -368,31 +369,32 @@ class SessionMultiplexer:
         return dict(entry.announce)
 
     async def abort_exchange(self, session_id: str) -> dict[str, Any]:
-        """Drop the in-flight exchange, keeping the session open."""
+        """Drop the in-flight exchange, keeping the session open.
+
+        A frame-barrier decode already running is not interrupted: it
+        leaves the decoder idle when it ends, and the abort returns
+        once it has (waiting at most :data:`CLOSE_TIMEOUT_S`).
+        """
         entry = self._entry(session_id)
-        async with entry.cond:
-            entry.ring.clear()
-            entry.stash.clear()
-            entry.cond.notify_all()
+        entry.stash.clear()
         if entry.future is not None and not entry.future.done():
             entry.future.set_exception(
                 MuxError(f"session {session_id!r} exchange aborted"))
             entry.future.exception()
         aborted = entry.total is not None
-        if entry.session.decoder.in_exchange:
+        if not entry.decoding and entry.session.decoder.in_exchange:
             entry.session.decoder.abort_exchange()
         index = entry.exchange_index
         entry.total = None
         entry.announce = None
-        entry.refinish = False
         entry.last_activity = time.monotonic()
+        await self._settle(entry)
         return {"session": session_id, "aborted": aborted,
                 "exchange": index}
 
     def _ack(self, entry: _Entry, state: str) -> dict[str, Any]:
         return {
             "session": entry.session.id,
-            "queued_chunks": len(entry.ring),
             "remaining_samples": max(entry.total - entry.submitted, 0),
             "submitted": entry.submitted >= entry.total,
             "state": state,
@@ -401,15 +403,15 @@ class SessionMultiplexer:
 
     async def push_chunk(self, session_id: str, chunk: np.ndarray, *,
                          chunk_index: int | None = None) -> dict[str, Any]:
-        """Submit one chunk; applies the configured backpressure policy.
+        """Submit one chunk; an in-order one is ingested before it acks.
 
         Without ``chunk_index`` (the legacy path) chunks of any size
         are appended strictly in order.  With it, the chunk maps to the
         fixed offset ``chunk_index * chunk_samples`` and ingest becomes
         idempotent: full replays of accepted spans ack as
         ``"duplicate"`` (replaying the final chunk after an injected
-        worker fault re-arms the decode -- ``"refinish"``), and early
-        arrivals wait in a bounded stash (``"stashed"``) until the gap
+        worker fault re-dispatches the decode -- ``"refinish"``), and
+        early arrivals wait in the stash (``"stashed"``) until the gap
         fills.  Indexed chunks must be canonically sized so offsets are
         well-defined at any retry interleaving.
 
@@ -448,12 +450,10 @@ class SessionMultiplexer:
                     and isinstance(entry.future.exception(),
                                    InjectedWorkerFault) \
                     and entry.session.decoder.complete:
-                # The capture survived the worker death; re-arm the
-                # frame barrier for the consumer.
+                # The capture survived the worker death: run the frame
+                # barrier again.
                 entry.future = asyncio.get_running_loop().create_future()
-                async with entry.cond:
-                    entry.refinish = True
-                    entry.cond.notify_all()
+                self._start_decode(entry)
                 state = "refinish"
             return self._ack(entry, state)
         if entry.future.done():
@@ -461,52 +461,27 @@ class SessionMultiplexer:
                 f"session {session_id!r} has no exchange open")
         if offset > entry.submitted:
             # Early (out-of-order) arrival: hold it until the gap fills.
-            if len(entry.stash) >= self.config.ring_chunks:
-                entry.ring.note_policy_shed()
-                entry.session.stats.sheds += 1
-                self.sheds += 1
-                raise ChunkShed(
-                    f"session {session_id!r} stash full "
-                    f"({self.config.ring_chunks} chunks)")
             entry.stash[offset] = chunk
             return self._ack(entry, "stashed")
         if offset + chunk.size > entry.total:
             raise MuxError(
                 f"chunk overruns the exchange: {chunk.size} > "
                 f"{entry.total - entry.submitted} samples left")
-        await self._ingest(entry, chunk)
-        entry.submitted += chunk.size
-        # Drain any stashed chunks the new high-water makes contiguous.
-        while entry.stash:
-            nxt = entry.stash.pop(entry.submitted, None)
-            if nxt is None:
-                break
-            try:
-                await self._ingest(entry, nxt)
-            except ChunkShed:
-                entry.stash[entry.submitted] = nxt
-                break
-            entry.submitted += nxt.size
+        self._ingest(entry, chunk)
+        # Ingest any stashed chunks the new high-water makes contiguous.
+        while (nxt := entry.stash.pop(entry.submitted, None)) is not None:
+            self._ingest(entry, nxt)
+        if entry.session.decoder.complete:
+            self._start_decode(entry)
         return self._ack(entry, "queued")
 
-    async def _ingest(self, entry: _Entry, chunk: np.ndarray) -> None:
-        """Push one in-order chunk into the ring under backpressure."""
-        async with entry.cond:
-            if self.config.backpressure == "wait":
-                while entry.ring.full and not entry.closing:
-                    await entry.cond.wait()
-            elif entry.ring.full:
-                entry.ring.note_policy_shed()
-                entry.session.stats.sheds += 1
-                self.sheds += 1
-                raise ChunkShed(
-                    f"session {entry.session.id!r} ring full "
-                    f"({entry.ring.capacity} chunks)")
-            if entry.closing:
-                raise MuxError(
-                    f"session {entry.session.id!r} is closing")
-            entry.ring.push(chunk)
-            entry.cond.notify_all()
+    @staticmethod
+    def _ingest(entry: _Entry, chunk: np.ndarray) -> None:
+        """Analog-cancel one in-order chunk into the session's decoder."""
+        entry.session.decoder.push(chunk)
+        entry.submitted += chunk.size
+        entry.session.stats.chunks += 1
+        entry.session.stats.samples += int(chunk.size)
 
     async def wait_result(self, session_id: str) -> ReaderResult:
         """Await the in-flight exchange's decode result."""
@@ -542,61 +517,46 @@ class SessionMultiplexer:
             "checkpoint": entry.session.decoder.checkpoint(),
         }
 
-    # -- the per-session consumer ------------------------------------------
+    # -- the frame barrier -------------------------------------------------
 
-    async def _consume(self, entry: _Entry) -> None:
-        while True:
-            async with entry.cond:
-                while not len(entry.ring) and not entry.closing \
-                        and not entry.refinish:
-                    await entry.cond.wait()
-                if entry.closing and not len(entry.ring):
-                    return
-                refinish = entry.refinish
-                entry.refinish = False
-                chunk = entry.ring.pop() if len(entry.ring) else None
-                entry.cond.notify_all()   # wake a waiting producer
-            session = entry.session
-            try:
-                if chunk is not None:
-                    session.decoder.push(chunk)
-                    session.stats.chunks += 1
-                    session.stats.samples += int(chunk.size)
-                    entry.last_activity = time.monotonic()
-                if session.decoder.complete and entry.future is not None \
-                        and not entry.future.done():
-                    await self._finish_exchange(entry)
-            except Exception as exc:
-                if session.decoder.in_exchange:
-                    session.decoder.abort_exchange()
-                if entry.future is not None and not entry.future.done():
-                    entry.future.set_exception(exc)
-                    entry.future.exception()
-                async with entry.cond:
-                    entry.ring.clear()
-                    entry.cond.notify_all()
+    def _start_decode(self, entry: _Entry) -> None:
+        entry.decode = asyncio.create_task(
+            self._decode(entry, entry.future),
+            name=f"repro-decode-{entry.session.id}")
 
-    async def _finish_exchange(self, entry: _Entry) -> None:
-        """Run the frame barrier (or inject a worker death there)."""
+    async def _decode(self, entry: _Entry, future: asyncio.Future) -> None:
+        """Run the frame barrier (or inject a worker death there).
+
+        Settles only ``future``, the exchange the decode was started
+        for, and only if an abort has not failed it meanwhile.
+        """
         session = entry.session
         if entry.chaos is not None and entry.chaos.take_worker_fault():
             # The capture stays assembled in the decoder: an idempotent
-            # replay of the final chunk re-arms the decode (refinish).
+            # replay of the final chunk re-dispatches the decode.
             self.worker_faults += 1
-            if entry.future is not None and not entry.future.done():
-                entry.future.set_exception(InjectedWorkerFault(
+            if not future.done():
+                future.set_exception(InjectedWorkerFault(
                     f"session {session.id!r} decode worker died at "
                     "the frame barrier (injected)"))
-                entry.future.exception()
+                future.exception()
             return
         t0 = time.perf_counter()
-        result = await asyncio.get_running_loop().run_in_executor(
-            self._pool, session.decoder.finish)
-        session.stats.note_result(result, time.perf_counter() - t0)
+        try:
+            result = await asyncio.get_running_loop().run_in_executor(
+                self._pool, session.decoder.finish)
+            session.stats.note_result(result, time.perf_counter() - t0)
+        except Exception as exc:
+            if session.decoder.in_exchange:
+                session.decoder.abort_exchange()
+            if not future.done():
+                future.set_exception(exc)
+                future.exception()
+            return
         self.decoded += 1
         entry.last_activity = time.monotonic()
-        if entry.future is not None and not entry.future.done():
-            entry.future.set_result(result)
+        if not future.done():
+            future.set_result(result)
 
     # -- the watchdog ------------------------------------------------------
 
@@ -604,7 +564,7 @@ class SessionMultiplexer:
         """Reap sessions whose in-flight exchange stalls past deadline.
 
         Activity is any ingest progress or a frame-barrier completion;
-        a slow-loris client (or a wedged consumer) stops updating it
+        a slow-loris client (or a wedged decode) stops updating it
         and gets its session closed, freeing the slot.
         """
         deadline = self.config.watchdog_deadline_s
@@ -639,13 +599,10 @@ class SessionMultiplexer:
         return {
             "sessions": len(self._sessions),
             "max_sessions": self.config.max_sessions,
-            "backpressure": self.config.backpressure,
-            "ring_chunks": self.config.ring_chunks,
             "chunk_samples": self.config.chunk_samples,
             "opened": self.opened,
             "refused": self.refused,
             "decoded": self.decoded,
-            "sheds": self.sheds,
             "duplicates": self.dupes,
             "worker_faults": self.worker_faults,
             "watchdog_reaps": self.watchdog_reaps,
@@ -656,11 +613,7 @@ class SessionMultiplexer:
                 "injected": len(self.chaos_log),
             },
             "per_session": {
-                sid: {
-                    **entry.session.as_dict(),
-                    "ring_dropped_overflow": entry.ring.dropped_overflow,
-                    "ring_dropped_policy": entry.ring.dropped_policy,
-                }
+                sid: entry.session.as_dict()
                 for sid, entry in sorted(self._sessions.items())
             },
         }

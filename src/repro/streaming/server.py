@@ -34,15 +34,14 @@ client replays instead of poisoning the capture).
 
 Error mapping: 503 when session admission is refused
 (:class:`~repro.streaming.mux.Overloaded`) or a chaos-injected worker
-fault wants a retry, 429 when a chunk is shed under backpressure policy
-``shed``, 404 for unknown sessions, 409 for protocol misuse (chunk
-without an exchange, overrun), 400 for malformed requests.  Retryable
-refusals carry ``"retryable": true`` in the JSON error payload.  A
-request head the server cannot frame -- a malformed request line or
-header, a ``Content-Length`` that is not a decimal count (400), a body
-over 64 MiB (413), a head over the stream limit of 64 KiB (431) -- is
-answered and the connection closed, since the byte stream cannot be
-resynchronised.
+fault wants a retry, 404 for unknown sessions, 409 for protocol misuse
+(chunk without an exchange, overrun), 400 for malformed requests.
+Retryable refusals carry ``"retryable": true`` in the JSON error
+payload.  A request head the server cannot frame -- a malformed request
+line or header, a ``Content-Length`` that is not a decimal count (400),
+a body over 64 MiB (413), a head over the stream limit of 64 KiB (431)
+-- is answered and the connection closed, since the byte stream cannot
+be resynchronised.
 
 The WebSocket feed needs nothing from a client but close, ping and
 pong.  An upgrade that is not a ``GET`` or whose ``Sec-WebSocket-Key``
@@ -90,7 +89,7 @@ from ..scenario import (
     resolve_scenario,
 )
 from ..telemetry import TelemetryCollector, get_collector, set_collector
-from .mux import ChunkShed, InjectedWorkerFault, MuxError, Overloaded, \
+from .mux import InjectedWorkerFault, MuxError, Overloaded, \
     SessionMultiplexer, UnknownSession
 
 __all__ = ["DEFAULT_PORT", "ServerThread", "StreamingServer",
@@ -109,7 +108,6 @@ them."""
 _REASONS = {200: "OK", 201: "Created", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
             409: "Conflict", 413: "Content Too Large",
-            429: "Too Many Requests",
             431: "Request Header Fields Too Large",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
@@ -384,9 +382,6 @@ class StreamingServer:
                 except Overloaded as exc:
                     status, payload = 503, {"error": str(exc),
                                             "retryable": True}
-                except ChunkShed as exc:
-                    status, payload = 429, {"error": str(exc),
-                                            "retryable": True}
                 except UnknownSession as exc:
                     status, payload = 404, {"error": str(exc)}
                 except MuxError as exc:
@@ -623,12 +618,7 @@ class StreamingServer:
         held = self._held.pop(sid, None)
         if held is not None:
             h_idx, h_chunk = held
-            try:
-                ack = await self.mux.push_chunk(sid, h_chunk,
-                                                chunk_index=h_idx)
-            except ChunkShed:
-                self._held[sid] = held
-                raise
+            ack = await self.mux.push_chunk(sid, h_chunk, chunk_index=h_idx)
         if ack["submitted"]:
             result = await self.mux.wait_result(sid)
             entry_session = self.mux._entry(sid).session
@@ -795,7 +785,7 @@ class ServerThread:
     context manager to get a live server bound to an ephemeral port,
     drive it from the calling thread (HTTP, or :meth:`submit` for
     coroutines on the server loop), and exiting tears everything down
-    -- consumer tasks awaited, decode pool joined, loop closed -- so no
+    -- decode tasks awaited, decode pool joined, loop closed -- so no
     threads leak past the block.
     """
 

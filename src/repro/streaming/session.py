@@ -114,8 +114,6 @@ class SessionStats:
     delivered_bits: int = 0
     chunks: int = 0
     samples: int = 0
-    sheds: int = 0
-    """Chunks refused under the ``shed`` backpressure policy."""
     decode_seconds: float = 0.0
     """Wall time spent in frame-barrier decodes (not ingest)."""
     last_ok: bool | None = None
@@ -141,7 +139,6 @@ class SessionStats:
             "delivered_bits": self.delivered_bits,
             "chunks": self.chunks,
             "samples": self.samples,
-            "sheds": self.sheds,
             "decode_seconds": round(self.decode_seconds, 6),
             "last_ok": self.last_ok,
             "last_snr_db": None if np.isnan(self.last_snr_db)

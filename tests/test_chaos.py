@@ -15,7 +15,6 @@ import io
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.faults import (
@@ -30,7 +29,6 @@ from repro.faults import (
 from repro.scenario import StreamingConfig, get_scenario
 from repro.streaming import (
     CaptureSource,
-    ChunkRing,
     RetryPolicy,
     ServerThread,
     ServiceClient,
@@ -43,8 +41,7 @@ SCENARIO = "streaming-50"
 
 
 def _config(**over) -> StreamingConfig:
-    base = dict(chunk_samples=256, ring_chunks=32, max_sessions=8,
-                warm_start=False)
+    base = dict(chunk_samples=256, max_sessions=8, warm_start=False)
     base.update(over)
     return StreamingConfig(**base)
 
@@ -260,29 +257,38 @@ class TestCheckpointResume:
                 second.close()
 
     def test_out_of_order_chunks_stash_and_drain(self):
-        cfg = _config()
         source = CaptureSource(SCENARIO)
         cap, local = _local_decode(source)
-        cs = cfg.chunk_samples
-        n_chunks = -(-cap.rx.size // cs)
-        assert n_chunks >= 4
-        with ServerThread(config=cfg) as st:
-            client = ServiceClient(st.host, st.port, timeout=10.0,
-                                   retry=RetryPolicy())
-            try:
-                sid = client.open_session(SCENARIO)["session"]
-                client.start_exchange(sid, expected=0)
-                order = [1, 0] + list(range(3, n_chunks)) + [2]
-                acks = []
-                for k in order:
-                    acks.append(client.push_chunk(
-                        sid, cap.rx[k * cs:(k + 1) * cs], index=k))
-                assert acks[0]["state"] == "stashed"
-                assert acks[0]["stashed_chunks"] == 1
-                assert acks[-1]["state"] == "decoded"
-                assert local.items() <= acks[-1]["result"].items()
-            finally:
-                client.close()
+        orders = {
+            # Two gaps, each filled after later chunks landed.
+            256: lambda n: [1, 0, *range(3, n), 2],
+            # Every chunk but the first, last to first: all of them wait
+            # in the stash at once.
+            64: lambda n: [*range(n - 1, 0, -1), 0],
+        }
+        for cs, order_of in orders.items():
+            n_chunks = -(-cap.rx.size // cs)
+            order = order_of(n_chunks)
+            with ServerThread(config=_config(chunk_samples=cs)) as st:
+                client = ServiceClient(st.host, st.port, timeout=10.0,
+                                       retry=RetryPolicy())
+                try:
+                    sid = client.open_session(SCENARIO)["session"]
+                    client.start_exchange(sid, expected=0)
+                    acks = [client.push_chunk(
+                        sid, cap.rx[k * cs:(k + 1) * cs], index=k)
+                        for k in order]
+                finally:
+                    client.close()
+            # A chunk waits while any earlier one is still to come.
+            early = ["stashed" if k > min(order[i:]) else "queued"
+                     for i, k in enumerate(order[:-1])]
+            assert [a["state"] for a in acks] == early + ["decoded"]
+            assert acks[0]["stashed_chunks"] == 1
+            assert local.items() <= acks[-1]["result"].items()
+        # The reversed capture stashed more chunks than the 32 that once
+        # bounded the stash.
+        assert acks[-2]["stashed_chunks"] == n_chunks - 1 > 32
 
 
 class TestWatchdogAndDrain:
@@ -355,16 +361,6 @@ async def _async(fn, *args):
 
 
 class TestAccountingAndTeardown:
-    def test_ring_splits_overflow_from_policy_sheds(self):
-        ring = ChunkRing(capacity=2)
-        chunk = np.zeros(4, dtype=np.complex128)
-        assert ring.push(chunk) and ring.push(chunk)
-        assert not ring.push(chunk)
-        ring.note_policy_shed()
-        assert ring.dropped_overflow == 1
-        assert ring.dropped_policy == 1
-        assert ring.dropped == 2
-
     def test_warm_admissions_degrade_under_load(self):
         cfg = _config(max_sessions=4, degrade_warm_frac=0.5,
                       warm_start=True)

@@ -1,9 +1,10 @@
-"""Streaming decode: chunked byte-identity, warm start, ring, multiplexer."""
+"""Streaming decode: chunked byte-identity, warm start, multiplexer."""
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from repro.faults import Blocker, ClockDrift, DetectorMiss, FaultPlan
 from repro.scenario import StreamingConfig, get_scenario
 from repro.streaming import (
     CaptureSource,
-    ChunkRing,
-    ChunkShed,
     MuxError,
     Overloaded,
     SessionMultiplexer,
@@ -197,30 +196,8 @@ class TestApSideAnnounce:
             exchanges=3)
 
 
-class TestChunkRing:
-    def test_fifo_and_accounting(self):
-        ring = ChunkRing(2)
-        a = np.full(3, 1.0, complex)
-        b = np.full(5, 2.0, complex)
-        assert ring.push(a) and ring.push(b)
-        assert ring.full and len(ring) == 2
-        assert ring.samples_queued == 8
-        assert not ring.push(a)
-        assert ring.dropped == 1
-        assert np.array_equal(ring.pop(), a)
-        assert ring.high_watermark == 2
-        assert ring.clear() == 1
-        assert ring.pop() is None
-        assert ring.samples_queued == 0
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            ChunkRing(0)
-
-
 def _cfg(**overrides) -> StreamingConfig:
-    base = dict(chunk_samples=4096, ring_chunks=8, max_sessions=4,
-                backpressure="wait", warm_start=False)
+    base = dict(chunk_samples=4096, max_sessions=4, warm_start=False)
     base.update(overrides)
     return StreamingConfig(**base)
 
@@ -298,30 +275,11 @@ class TestMultiplexer:
 
         asyncio.run(go())
 
-    def test_shed_policy_refuses_when_ring_full(self, replay):
+    def test_in_order_small_chunks_decode(self, replay):
         rx = replay[1][0].rx
 
         async def go():
-            cfg = _cfg(backpressure="shed", ring_chunks=1)
-            async with SessionMultiplexer(cfg) as mux:
-                session = await mux.open_session(get_scenario(SCENARIO))
-                await mux.start_exchange(session.id)
-                entry = mux._entry(session.id)
-                # Fill the ring directly (no cond notify, so the consumer
-                # stays parked) and watch the next push get refused.
-                assert entry.ring.push(rx[:16])
-                with pytest.raises(ChunkShed):
-                    await mux.push_chunk(session.id, rx[16:32])
-                assert mux.sheds == 1
-                assert entry.session.stats.sheds == 1
-
-        asyncio.run(go())
-
-    def test_wait_policy_is_lossless_with_tiny_ring(self, replay):
-        rx = replay[1][0].rx
-
-        async def go():
-            cfg = _cfg(ring_chunks=1, chunk_samples=1024)
+            cfg = _cfg(chunk_samples=1024)
             async with SessionMultiplexer(cfg) as mux:
                 session = await mux.open_session(get_scenario(SCENARIO))
                 opened = await mux.start_exchange(session.id)
@@ -330,7 +288,6 @@ class TestMultiplexer:
                     await mux.push_chunk(sid := session.id,
                                          rx[start:start + 1024])
                 result = await mux.wait_result(sid)
-                assert mux._entry(sid).ring.high_watermark <= 1
             return result
 
         result = asyncio.run(go())
@@ -354,4 +311,48 @@ class TestMultiplexer:
         assert all(r.ok for r in results)
         assert stats["decoded"] == 50
         assert stats["sessions"] == 50
-        assert stats["refused"] == 0 and stats["sheds"] == 0
+        assert stats["refused"] == 0
+
+    def test_abort_during_decode_spares_the_next_exchange(self, replay):
+        # An abort (and the next announce) landing while the frame
+        # barrier runs on a pool thread must wait for that decode, which
+        # then settles only its own exchange.
+        src, caps = replay
+        gate, running = threading.Event(), threading.Event()
+
+        async def go():
+            async with SessionMultiplexer(_cfg(decode_workers=2)) as mux:
+                session = await mux.open_session(get_scenario(SCENARIO))
+                sid, finish = session.id, session.decoder.finish
+
+                def gated_finish():
+                    running.set()
+                    gate.wait(timeout=60)
+                    return finish()
+
+                session.decoder.finish = gated_finish
+                await mux.start_exchange(sid)
+                for chunk in _chunks(caps[0].rx, 4096):
+                    await mux.push_chunk(sid, chunk)
+                try:
+                    assert await asyncio.to_thread(running.wait, 30)
+                    abort = asyncio.create_task(mux.abort_exchange(sid))
+                    announce = asyncio.create_task(mux.start_exchange(sid))
+                    done, _ = await asyncio.wait({abort, announce},
+                                                 timeout=0.2)
+                    assert not done
+                finally:
+                    gate.set()
+                assert (await abort)["exchange"] == 0
+                assert (await announce)["exchange"] == 1
+                for chunk in _chunks(caps[1].rx, 4096):
+                    await mux.push_chunk(sid, chunk)
+                return await mux.wait_result(sid)
+
+        result = asyncio.run(go())
+        batch = src.built.reader.decode(
+            caps[1].timeline, caps[1].rx, src.built.scene.h_env,
+            pa_output=caps[1].x_pa, rng=_decode_rng(src, 1))
+        assert result.ok and batch.ok
+        assert np.array_equal(result.payload_bits, batch.payload_bits)
+        assert result.symbol_snr_db == batch.symbol_snr_db

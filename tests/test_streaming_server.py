@@ -50,7 +50,6 @@ class _Service(ServerThread):
     def __init__(self, collector: TelemetryCollector | None = None,
                  **config):
         config.setdefault("chunk_samples", 4096)
-        config.setdefault("ring_chunks", 32)
         config.setdefault("max_sessions", 8)
         super().__init__(config=StreamingConfig(**config),
                          default_scenario=SCENARIO,
