@@ -60,6 +60,14 @@ class SceneConfig:
     in a real deployment are rate-limited by obstructions, not free-space
     distance; this places the WiFi rate edges at realistic distances."""
 
+    def __post_init__(self) -> None:
+        if not self.env_drift_rms >= 0:
+            raise ValueError(
+                f"env_drift_rms must be >= 0, got {self.env_drift_rms}")
+        if not self.env_drift_coherence_us > 0:
+            raise ValueError("env_drift_coherence_us must be > 0, got "
+                             f"{self.env_drift_coherence_us}")
+
 
 @dataclass
 class Scene:

@@ -11,6 +11,10 @@ in practice (paper Fig. 11a: ~2.3 dB median SNR degradation):
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +183,40 @@ def ar1_drift_params(rms: float,
     return rho, innov_scale
 
 
+_SIGTOOLS = "scipy.signal._sigtools"
+
+
+def _linear_filter():
+    """SciPy's compiled IIR kernel, ``_linear_filter`` of
+    ``scipy.signal._sigtools``, loaded without running the ``scipy`` or
+    ``scipy.signal`` package ``__init__``, which loads most of SciPy for
+    this one recursion (``docs/PERFORMANCE.md`` has the cost).
+
+    The extension is found in SciPy's directory, which ``find_spec``
+    locates without importing anything, and is registered in
+    ``sys.modules`` under its own name: that loads it once per process,
+    and a later ``import scipy.signal`` reuses it.
+    """
+    module = sys.modules.get(_SIGTOOLS)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        spec = None if scipy is None else importlib.machinery.FileFinder(
+            os.path.join(scipy.submodule_search_locations[0], "signal"),
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES),
+        ).find_spec(_SIGTOOLS)
+        if spec is None:
+            # Without SciPy, version() raises its own ImportError.
+            from importlib.metadata import version
+            raise ImportError(
+                f"SciPy {version('scipy')} has no extension module "
+                f"{_SIGTOOLS} (SciPy >= 1.8 ships it)", name=_SIGTOOLS)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_SIGTOOLS] = module
+    return module._linear_filter
+
+
 def ar1_filter(w: np.ndarray, rho: float, prev) -> np.ndarray:
     """The AR(1) recursion ``y[i] = w[i] + rho * y[i-1]``, ``y[-1] = prev``.
 
@@ -186,19 +224,22 @@ def ar1_filter(w: np.ndarray, rho: float, prev) -> np.ndarray:
     initial state per row (``prev`` broadcasting over the batch axes), so
     the batched session synthesizer runs every element's drift process
     in one call, each row bit-identical to its own scalar call.
-    """
-    # Imported here: scipy.signal costs ~0.6 s and a service that only
-    # decodes never filters.
-    from scipy.signal import lfilter
 
+    The recursion is SciPy's compiled direct-form-II-transposed kernel
+    called as ``scipy.signal.lfilter([1.0], [1.0, -rho], ...)`` calls it
+    (the same coefficient arrays, axis and initial state), so the output
+    is ``lfilter``'s bit for bit without importing ``scipy.signal``.
+    """
+    linear_filter = _linear_filter()
     w = np.asarray(w)
     rho = float(rho)
+    b, a = np.array([1.0]), np.array([1.0, -rho])
     zi = np.broadcast_to(
         np.asarray(rho * np.asarray(prev), dtype=np.result_type(w, prev)),
         w.shape[:-1],
     )[..., np.newaxis]
     if w.dtype != np.complex128:
-        y, _ = lfilter([1.0], [1.0, -rho], w, zi=zi.copy())
+        y, _ = linear_filter(b, a, w, -1, zi.copy())
         return y
     # A real rho never mixes real and imaginary parts, so filter the two
     # float64 planes of the innovations' own buffer (the last axis of its
@@ -207,7 +248,7 @@ def ar1_filter(w: np.ndarray, rho: float, prev) -> np.ndarray:
     w = np.ascontiguousarray(w)
     planes = w.view(np.float64).reshape(w.shape + (2,))
     zi_planes = np.stack([zi.real, zi.imag], axis=-1)
-    y, _ = lfilter([1.0], [1.0, -rho], planes, axis=-2, zi=zi_planes)
+    y, _ = linear_filter(b, a, planes, -2, zi_planes)
     return np.ascontiguousarray(y).view(np.complex128).reshape(w.shape)
 
 

@@ -35,6 +35,7 @@ two in precedence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -238,34 +239,36 @@ def _scenario_from_args(args: argparse.Namespace, *,
 
     sc = get_scenario(args.scenario) if getattr(args, "scenario", None) \
         else ScenarioConfig()
-    if map_flags:
-        top: dict = {}
-        if getattr(args, "distance", None) is not None:
-            top["distance_m"] = float(args.distance)
-        if getattr(args, "seed", None) is not None:
-            top["seed"] = int(args.seed)
-        tag_kw = {dst: getattr(args, src)
-                  for src, dst in _FLAG_TO_TAG.items()
-                  if getattr(args, src, None) is not None}
-        if tag_kw:
-            top["tag"] = replace(sc.tag, **tag_kw)
-        link_kw = {dst: getattr(args, src)
-                   for src, dst in _FLAG_TO_LINK.items()
-                   if getattr(args, src, None) is not None}
-        if link_kw:
-            top["link"] = replace(sc.link, **link_kw)
-        if top:
-            sc = sc.replace(**top)
-    if getattr(args, "overrides", None):
-        sc = _with_overrides(sc, args.overrides)
+    with _refused_values():
+        if map_flags:
+            top: dict = {}
+            if getattr(args, "distance", None) is not None:
+                top["distance_m"] = float(args.distance)
+            if getattr(args, "seed", None) is not None:
+                top["seed"] = int(args.seed)
+            tag_kw = {dst: getattr(args, src)
+                      for src, dst in _FLAG_TO_TAG.items()
+                      if getattr(args, src, None) is not None}
+            if tag_kw:
+                top["tag"] = replace(sc.tag, **tag_kw)
+            link_kw = {dst: getattr(args, src)
+                       for src, dst in _FLAG_TO_LINK.items()
+                       if getattr(args, src, None) is not None}
+            if link_kw:
+                top["link"] = replace(sc.link, **link_kw)
+            if top:
+                sc = sc.replace(**top)
+        if getattr(args, "overrides", None):
+            sc = sc.with_overrides(*args.overrides)
     return sc
 
 
-def _with_overrides(sc, overrides: list[str]):
-    """``sc.with_overrides``; a bad ``--set`` ends the command with one
-    error line instead of a traceback."""
+@contextlib.contextmanager
+def _refused_values():
+    """A flag or ``--set`` value the scenario refuses ends the command
+    with one error line instead of a traceback."""
     try:
-        return sc.with_overrides(*overrides)
+        yield
     except (KeyError, ValueError) as exc:
         raise SystemExit(f"repro: error: {exc.args[0]}") from None
 
@@ -502,7 +505,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the streaming decode service until POST /shutdown (or ^C)."""
     import asyncio
-    import contextlib
     import signal
     from dataclasses import replace
 
@@ -515,7 +517,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     scenario_name = args.scenario or "streaming-50"
     sc = get_scenario(scenario_name)
     if args.overrides:
-        sc = _with_overrides(sc, args.overrides)
+        with _refused_values():
+            sc = sc.with_overrides(*args.overrides)
     cfg = sc.streaming or StreamingConfig()
     flag_over = {
         name: getattr(args, name)

@@ -49,7 +49,8 @@ from ..link.simulator import NetworkConfig
 from ..reader.config import ReaderConfig
 from ..reader.reader import BackFiReader
 from ..tag.config import TagConfig
-from ..tag.tag import BackFiTag
+from ..tag.tag import PREAMBLE_CHIP_US, BackFiTag
+from ..wifi.params import SUPPORTED_RATES_MBPS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from ..link.session import SessionResult
@@ -225,13 +226,29 @@ class LinkConfig:
     def __post_init__(self) -> None:
         if self.n_payload_bits < 0:
             raise ValueError("n_payload_bits must be >= 0")
+        if self.wifi_rate_mbps not in SUPPORTED_RATES_MBPS:
+            raise ValueError(
+                f"wifi_rate_mbps must be one of {SUPPORTED_RATES_MBPS}, "
+                f"got {self.wifi_rate_mbps}")
         if self.wifi_payload_bytes <= 0:
             raise ValueError("wifi_payload_bytes must be positive")
+        if self.preamble_us is not None \
+                and not self.preamble_us >= PREAMBLE_CHIP_US:
+            raise ValueError(
+                f"preamble_us must be null or at least one tag chip "
+                f"({PREAMBLE_CHIP_US} us), got {self.preamble_us}")
         if self.excitation not in ("wifi", "ble", "zigbee", "dsss"):
             raise ValueError(
                 f"unknown excitation {self.excitation!r}: "
                 "expected wifi, ble, zigbee or dsss"
             )
+        if self.backscatter_evm is not None \
+                and not self.backscatter_evm >= 0:
+            raise ValueError("backscatter_evm must be null or >= 0, got "
+                             f"{self.backscatter_evm}")
+        if not self.tag_speed_m_s >= 0:
+            raise ValueError(
+                f"tag_speed_m_s must be >= 0, got {self.tag_speed_m_s}")
 
 
 @dataclass(frozen=True)
@@ -350,6 +367,8 @@ class ScenarioConfig:
             raise ValueError("distance_m must be positive")
         if self.client_distance_m <= 0:
             raise ValueError("client_distance_m must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     # -- serialization ----------------------------------------------------
 

@@ -3,13 +3,14 @@
 The package runs one form of each kernel: the fine-timing search scores
 its candidates through the chip-comb ``BatchPreambleSolver``, the
 scrambler reads a 127-periodic table, the drift AR(1) filters two
-float64 planes through SciPy's ``lfilter``, and long correlations take
-the overlap-save FFT.  This module keeps the forms they replaced -- the
-per-offset timing search (with the SVD channel fit it ran with the fast
-paths off), the stepwise LFSR, the Python-loop AR(1) recursion and the
-``np.correlate`` correlations -- as the oracles the equivalence tests
-hold the package to and the "direct" arms of
-``benchmarks/bench_hotpaths.py`` time.  The LS design matrix that
+float64 planes through SciPy's compiled IIR kernel (loaded without the
+``scipy.signal`` package), and long correlations take the overlap-save
+FFT.  This module keeps the forms they replaced -- the per-offset timing
+search (with the SVD channel fit it ran with the fast paths off), the
+stepwise LFSR, the Python-loop AR(1) recursion, the AR(1) through
+``scipy.signal.lfilter`` and the ``np.correlate`` correlations -- as
+the oracles the equivalence tests hold the package to and the "direct"
+arms of ``benchmarks/bench_hotpaths.py`` time.  The LS design matrix that
 zero-pads and windows the whole capture, whichever rows it keeps, is
 here too (``convolution_matrix_full``), and so is the stacked
 convolution that windowed a zero-padded copy of its signal stack
@@ -251,6 +252,32 @@ def ar1_loop(w: np.ndarray, rho: float, prev) -> np.ndarray:
         acc = w[..., i] + rho * acc
         out[..., i] = acc
     return out
+
+
+def ar1_lfilter(w: np.ndarray, rho: float, prev) -> np.ndarray:
+    """The AR(1) recursion through SciPy's public ``lfilter``.
+
+    The package's ``ar1_filter`` as it was before it called the compiled
+    kernel directly: complex innovations filter as their two float64
+    planes, anything else as it is.  ``ar1_filter`` must match it byte
+    for byte, so a SciPy whose kernel or ``lfilter`` changes fails here.
+    """
+    from scipy.signal import lfilter
+
+    w = np.asarray(w)
+    rho = float(rho)
+    zi = np.broadcast_to(
+        np.asarray(rho * np.asarray(prev), dtype=np.result_type(w, prev)),
+        w.shape[:-1],
+    )[..., np.newaxis]
+    if w.dtype != np.complex128:
+        y, _ = lfilter([1.0], [1.0, -rho], w, zi=zi.copy())
+        return y
+    w = np.ascontiguousarray(w)
+    planes = w.view(np.float64).reshape(w.shape + (2,))
+    zi_planes = np.stack([zi.real, zi.imag], axis=-1)
+    y, _ = lfilter([1.0], [1.0, -rho], planes, axis=-2, zi=zi_planes)
+    return np.ascontiguousarray(y).view(np.complex128).reshape(w.shape)
 
 
 # -- correlations: the np.correlate C loop at every length --------------

@@ -1,5 +1,6 @@
 """Tests for the CLI and the ASCII plotting utilities."""
 
+import json
 import os
 import subprocess
 import sys
@@ -119,28 +120,113 @@ class TestCli:
         assert "\n" not in message
         assert repr(path) in message
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--set", "seed=-1"], "seed"),
+        (["--set", "link.wifi_rate_mbps=7"], "wifi_rate_mbps"),
+        (["--set", "link.preamble_us=-4"], "preamble_us"),
+        (["--set", "link.preamble_us=0.3"], "preamble_us"),
+        (["--set", "link.tag_speed_m_s=-1"], "tag_speed_m_s"),
+        (["--set", "link.backscatter_evm=-0.1"], "backscatter_evm"),
+        (["--set", "scene.env_drift_rms=-1"], "env_drift_rms"),
+        (["--set", "scene.env_drift_coherence_us=-5"],
+         "env_drift_coherence_us"),
+        (["--seed", "-1"], "seed"),
+        (["--wifi-rate", "7"], "wifi_rate_mbps"),
+    ])
+    def test_refused_value_is_one_error_line(self, argv, field):
+        """A value of the right type that the scenario's config refuses
+        ends ``repro link`` with one error line naming the field (a
+        non-zero exit, no traceback), before anything is built."""
+        with pytest.raises(SystemExit) as info:
+            main(["link", "--scenario", "paper-1m", *argv])
+        message = str(info.value.code)
+        assert message.startswith(f"repro: error: {field} must be ")
+        assert "\n" not in message
+
+
+_SYNTHESIZE_AND_DECODE = """
+import json, sys
+import numpy as np
+from repro.channel.environment import Scene
+from repro.link.batch import run_exchange_batch
+from repro.link.session import synthesize_exchange
+from repro.reader.reader import BackFiReader
+from repro.scenario import get_scenario
+from repro.tag.tag import BackFiTag
+from repro.wifi import random_payload
+
+built = get_scenario("paper-1m").build(rng=np.random.default_rng(0))
+cap = synthesize_exchange(built.scene, built.tag,
+                          rng=np.random.default_rng(1),
+                          **built.session_kwargs())
+one = built.reader.decode(cap.timeline, cap.rx, built.scene.h_env,
+                          pa_output=cap.x_pa, rng=np.random.default_rng(2))
+cfg = built.config.tag
+cell = run_exchange_batch(
+    [Scene.build(tag_distance_m=1.0 + 0.2 * b, rng=np.random.default_rng(b))
+     for b in range(4)],
+    [BackFiTag(cfg) for _ in range(4)], BackFiReader(cfg),
+    psdu=random_payload(1500, np.random.default_rng(9)),
+    rngs=[np.random.default_rng(10 + b) for b in range(4)])
+loaded = [m for m in sys.modules if m.startswith("scipy")]
+
+import scipy.signal
+from dsp_oracle import ar1_lfilter
+from repro.channel.hardware import ar1_filter
+w = np.random.default_rng(3).standard_normal((3, 500, 2)).view(np.complex128)
+w = w.reshape(3, 500)
+print(json.dumps({
+    "decoded": [one.ok] + [r.reader.ok for r in cell],
+    "loaded": loaded,
+    "matches_lfilter": ar1_filter(w, 0.99, 0.1j).tobytes()
+    == ar1_lfilter(w, 0.99, 0.1j).tobytes(),
+    "kernel_reused": scipy.signal._signaltools._sigtools
+    is sys.modules["scipy.signal._sigtools"],
+}))
+"""
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter with ``src/`` and ``tests/`` on
+    its path; returns its standard output."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, tests] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
 
 class TestImportCost:
     @pytest.fixture(scope="class")
     def loaded(self):
         """The ``scipy`` modules a fresh ``import repro.cli`` loads."""
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, repro.cli; "
-             "print('\\n'.join(m for m in sys.modules "
-             "if m.startswith('scipy')))"],
-            env=env, capture_output=True, text=True, check=True)
-        return out.stdout.split()
+        return _fresh_interpreter(
+            "import sys, repro.cli; "
+            "print('\\n'.join(m for m in sys.modules "
+            "if m.startswith('scipy')))").split()
 
     def test_cli_import_leaves_scipy_signal_unloaded(self, loaded):
         """``repro serve`` never filters, so importing the CLI must not
-        pay for ``scipy.signal`` (it is imported where ``lfilter`` runs)."""
+        pay for ``scipy.signal`` (nor for its kernel module, which the
+        AR(1) filter loads at its first call)."""
         assert [m for m in loaded if m.startswith("scipy.signal")] == []
 
     def test_cli_import_leaves_scipy_fft_unloaded(self, loaded):
         """Nor for ``scipy.fft``: only the overlap-save convolution of
         filters of ``FFT_MIN_TAPS`` or more taps imports it."""
         assert [m for m in loaded if m.startswith("scipy.fft")] == []
+
+    def test_synthesis_and_decode_load_no_scipy_package(self):
+        """A process that synthesizes a ``paper-1m`` exchange and a 4-row
+        cell and decodes both loads no SciPy package: the AR(1) drift
+        calls SciPy's compiled kernel, the only ``scipy.*`` module it
+        loads.  A later ``import scipy.signal`` reuses that module, and
+        the filter still equals ``lfilter`` byte for byte."""
+        out = json.loads(_fresh_interpreter(_SYNTHESIZE_AND_DECODE))
+        assert len(out["decoded"]) == 5 and out["decoded"][0]
+        assert "scipy" not in out["loaded"]
+        assert "scipy.signal" not in out["loaded"]
+        assert set(out["loaded"]) <= {"scipy.signal._sigtools"}
+        assert out["matches_lfilter"]
+        assert out["kernel_reused"]

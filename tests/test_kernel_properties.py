@@ -14,11 +14,11 @@
 * Exchange synthesis against copies of the original per-symbol
   transmitter and bit-serial CRCs (``synthesis_oracle.py``), bit for
   bit; ``complex_normal`` against the two-draw expression it replaces;
-  the two-plane SciPy AR(1) against the numpy reference recursion
-  (``dsp_oracle.py``); the stacked AGC/ADC against the original
-  per-capture quantiser, and its in-buffer I/Q reassembly against the
-  one-pass quantiser that built complex temporaries, over every sign
-  of zero.
+  the two-plane AR(1) against the numpy reference recursion and
+  against ``scipy.signal.lfilter`` (``dsp_oracle.py``); the stacked
+  AGC/ADC against the original per-capture quantiser, and its
+  in-buffer I/Q reassembly against the one-pass quantiser that built
+  complex temporaries, over every sign of zero.
 * The stacked-signal convolution, which windows the unpadded stack and
   two padded edge pieces, against the form that windowed a zero-padded
   copy of the stack (``dsp_oracle.py``), bit for bit.
@@ -37,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import synthesis_oracle
 from dsp_oracle import (
+    ar1_lfilter,
     ar1_loop,
     convolution_matrix_full,
     stacked_convolve_padded,
@@ -387,6 +388,36 @@ def test_two_plane_ar1_matches_numpy_reference(batch, n, rho, scalar_prev,
     got = ar1_filter(w, rho, prev)
     ref = ar1_loop(w, rho, prev)
     assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(batch=st.one_of(st.just(()), st.tuples(st.integers(1, 4)),
+                       st.tuples(st.integers(1, 3), st.integers(1, 3))),
+       n=st.integers(1, 200), rho=st.floats(0.0, 0.9999),
+       is_complex=st.booleans(), scalar_prev=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(batch=(2, 3), n=64, rho=0.9999, is_complex=True,
+         scalar_prev=False, seed=1)
+@example(batch=(), n=64, rho=0.5, is_complex=False, scalar_prev=True,
+         seed=2)
+def test_ar1_kernel_matches_scipy_lfilter(batch, n, rho, is_complex,
+                                          scalar_prev, seed):
+    """The compiled kernel called directly is ``lfilter``, byte for byte,
+    for complex (two-plane) and real innovations."""
+    rng = np.random.default_rng(seed)
+    shape = batch + (n,)
+    prev_shape = () if scalar_prev else batch
+    w = rng.standard_normal(shape)
+    prev = rng.standard_normal(prev_shape)
+    if is_complex:
+        w = w + 1j * rng.standard_normal(shape)
+        prev = prev + 1j * rng.standard_normal(prev_shape)
+    if scalar_prev:
+        prev = prev.item()
+    got = ar1_filter(w, rho, prev)
+    ref = ar1_lfilter(w, rho, prev)
+    assert got.dtype == ref.dtype == w.dtype and got.shape == ref.shape
     assert got.tobytes() == ref.tobytes()
 
 

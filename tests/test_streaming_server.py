@@ -394,6 +394,24 @@ class TestMalformedRequests:
         assert service.mux.n_sessions == before
         assert service.unhandled() == []
 
+    @pytest.mark.parametrize("override, field", [
+        ("seed=-1", "seed"), ("link.wifi_rate_mbps=7", "wifi_rate_mbps"),
+        ("link.preamble_us=0.3", "preamble_us"),
+        ("link.tag_speed_m_s=-1", "tag_speed_m_s"),
+        ("scene.env_drift_coherence_us=-5", "env_drift_coherence_us"),
+    ])
+    def test_refused_override_value_is_a_400(self, service, override,
+                                             field):
+        """A value of the right type that the scenario refuses is a 400
+        at ``POST /sessions``, not a session whose announces all fail."""
+        before = service.mux.n_sessions
+        status, payload = _json(service.port, "POST", "/sessions",
+                                {"overrides": [override]})
+        assert status == 400, payload
+        assert payload["error"].startswith(field)
+        assert service.mux.n_sessions == before
+        assert service.unhandled() == []
+
     def test_exchange_index_must_be_an_integer(self, service, client):
         sid = client.open_session(SCENARIO)["session"]
         try:
