@@ -64,19 +64,32 @@ from .scenario import (
     list_scenarios,
     register_scenario,
 )
-from .streaming import (
-    RetryPolicy,
-    ServerThread,
-    ServiceClient,
-    SessionMultiplexer,
-    StreamingDecoder,
-    StreamingServer,
-)
 from .tag import BackFiTag, TagConfig, all_tag_configs, default_energy_model
 from .telemetry import TelemetryCollector
 from .wifi import WifiReceiver, WifiTransmitter
 
 __version__ = "1.1.0"
+
+_SERVICE_NAMES = frozenset({
+    "RetryPolicy", "ServerThread", "ServiceClient", "SessionMultiplexer",
+    "StreamingDecoder", "StreamingServer",
+})
+
+
+def __getattr__(name: str):
+    # The service names load :mod:`repro.streaming` (asyncio, ssl, the
+    # HTTP front-end) at their first access (PEP 562), so a process that
+    # only synthesizes and decodes never imports the service layer.
+    if name not in _SERVICE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import streaming
+
+    value = globals()[name] = getattr(streaming, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _SERVICE_NAMES)
 
 __all__ = [
     "Scene",

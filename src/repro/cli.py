@@ -237,9 +237,9 @@ def _scenario_from_args(args: argparse.Namespace, *,
 
     from .scenario import ScenarioConfig, get_scenario
 
-    sc = get_scenario(args.scenario) if getattr(args, "scenario", None) \
-        else ScenarioConfig()
     with _refused_values():
+        sc = get_scenario(args.scenario) \
+            if getattr(args, "scenario", None) else ScenarioConfig()
         if map_flags:
             top: dict = {}
             if getattr(args, "distance", None) is not None:
@@ -455,9 +455,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = None
     if args.scenario or args.overrides:
         scenario = _scenario_from_args(args, map_flags=False)
-    result = fig8(distances_m=tuple(args.distances),
-                  preambles_us=(32.0,), trials=args.trials,
-                  seed=args.seed, scenario=scenario)
+    with _refused_values():
+        result = fig8(distances_m=tuple(args.distances),
+                      preambles_us=(32.0,), trials=args.trials,
+                      seed=args.seed, scenario=scenario)
     print(result.table)
     return 0
 
@@ -515,9 +516,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .telemetry import TelemetryCollector
 
     scenario_name = args.scenario or "streaming-50"
-    sc = get_scenario(scenario_name)
-    if args.overrides:
-        with _refused_values():
+    with _refused_values():
+        sc = get_scenario(scenario_name)
+        if args.overrides:
             sc = sc.with_overrides(*args.overrides)
     cfg = sc.streaming or StreamingConfig()
     flag_over = {

@@ -115,8 +115,15 @@ def run(distances_m: tuple[float, ...] = DEFAULT_DISTANCES_M,
     ``scenario`` supplies the channel/link baseline each cell derives
     from (its distance, tag config and preamble are the sweep axes and
     get replaced per cell); when omitted the default scene with
-    ``wifi_payload_bytes``-sized excitation packets is used.
+    ``wifi_payload_bytes``-sized excitation packets is used.  A
+    distance that is not positive raises ``ValueError`` before any cell
+    runs; a cell whose evaluation crashed (``None`` from
+    :func:`cell_map`) is left out of ``points`` and reads ``failed`` in
+    the table.
     """
+    for d in distances_m:
+        if not d > 0:
+            raise ValueError(f"distance must be positive, got {d:g} m")
     if scenario is None:
         scenario = ScenarioConfig(
             link=LinkConfig(wifi_payload_bytes=wifi_payload_bytes))
@@ -128,7 +135,7 @@ def run(distances_m: tuple[float, ...] = DEFAULT_DISTANCES_M,
         trial_seeds = d_seed.spawn(trials)
         for pre in preambles_us:
             cells.append((d, pre, trial_seeds, scenario, snr_margin_db))
-    result.points.extend(cell_map(_eval_cell, cells, jobs=jobs))
+    outs = iter(cell_map(_eval_cell, cells, jobs=jobs))
 
     table = ExperimentTable(
         title="Fig. 8 - max throughput vs range",
@@ -138,9 +145,12 @@ def run(distances_m: tuple[float, ...] = DEFAULT_DISTANCES_M,
     )
     for d in distances_m:
         row = [f"{d:g}"]
-        for pre in preambles_us:
-            p = next(pt for pt in result.points
-                     if pt.distance_m == d and pt.preamble_us == pre)
+        for _ in preambles_us:
+            p = next(outs)
+            if p is None:
+                row.append("failed")
+                continue
+            result.points.append(p)
             label = format_si(p.throughput_bps)
             if p.config is not None:
                 label += f" ({p.config.describe()})"

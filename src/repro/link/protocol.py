@@ -28,7 +28,7 @@ from ..constants import (
 )
 from ..tag.detector import ap_preamble_bits
 from ..wifi.frames import cts_to_self
-from ..wifi.transmitter import TxResult, WifiTransmitter
+from ..wifi.transmitter import WifiTransmitter
 
 __all__ = ["ApTimeline", "build_ap_transmission"]
 
@@ -49,7 +49,6 @@ class ApTimeline:
     nominal_preamble_start: int = 0
     nominal_data_start: int = 0
     preamble_us: float = TAG_PREAMBLE_US
-    wifi_tx: TxResult | None = None
 
     @property
     def n_samples(self) -> int:
@@ -95,12 +94,10 @@ def build_ap_transmission(
 
     wifi_start = sum(p.size for p in parts)
     if excitation_samples is not None:
-        data = None
         parts.append(np.asarray(excitation_samples,
                                 dtype=np.complex128))
     else:
-        data = tx.transmit(psdu, rate_mbps)
-        parts.append(data.samples)
+        parts.append(tx.transmit(psdu, rate_mbps).samples)
 
     samples = np.concatenate(parts)
     # Normalise so the WiFi PPDU carries tx_power_mw mean power; the OOK
@@ -124,7 +121,6 @@ def build_ap_transmission(
         nominal_preamble_start=preamble_start,
         nominal_data_start=data_start,
         preamble_us=preamble_us,
-        wifi_tx=data,
     )
 
 

@@ -371,11 +371,9 @@ class SelfInterferenceCanceller:
         with get_collector().span("cancellation") as sp:
             y = np.asarray(y, dtype=np.complex128)
             staged = self.begin(x, h_env, y.shape[-1], rng=rng)
-            after_analog = staged.analog(y)
-            # The reconstruction is spent: free it (a stack's worth of
-            # samples) before the frame-barrier stages allocate theirs.
-            staged.recon = None
-            return staged.finish(y, after_analog, silent_rows, sp)
+            # No reference to the analog residual stays here, so
+            # ``finish`` can free it once the ADC has quantized it.
+            return staged.finish(y, staged.analog(y), silent_rows, sp)
 
     def begin(self, x: np.ndarray, h_env, n_out: int, rng=None,
               analog_taps: np.ndarray | None = None
@@ -459,7 +457,12 @@ class StagedCancellation:
         it is reused -- skipping the LS fit -- if the held-out silent
         residual it leaves stays within :data:`WARM_REUSE_MAX_RISE_DB`
         of thermal on every row, else the pass falls back to a fresh fit.
+        The capture is assembled, so the reconstruction is spent and is
+        freed (a stack's worth of samples) before these stages allocate
+        theirs; so is this pass's reference to ``after_analog`` once the
+        ADC has quantized it.
         """
+        self.recon = None
         if sp is None:
             sp = NullCollector().span("cancellation")
         chain = self.chain
@@ -479,6 +482,7 @@ class StagedCancellation:
         # cancellation.  The AGC statistic is global (RMS over the whole
         # capture), which is why this stage sits behind the frame barrier.
         quantized, saturated = chain.adc.agc_quantize(after_analog)
+        del after_analog
 
         # Train the digital stage on the first 3/4 of the silent period
         # and report depth on the held-out tail, so LS overfitting does

@@ -303,9 +303,11 @@ class StreamingServer:
     # -- telemetry fan-out -------------------------------------------------
 
     def _sink_record(self, record: dict) -> None:
-        # Runs on whatever thread completed the span; hop to the loop.
+        # Runs on whatever thread completed the span; hop to the loop,
+        # but only while a feed subscriber listens: each hop wakes the
+        # loop thread, and with no subscriber it would deliver nothing.
         loop = self._loop
-        if loop is not None and not loop.is_closed():
+        if self._subscribers and loop is not None and not loop.is_closed():
             loop.call_soon_threadsafe(self._broadcast, record)
 
     def _broadcast(self, record: dict) -> None:

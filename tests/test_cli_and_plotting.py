@@ -108,6 +108,33 @@ class TestCli:
         assert rc == 0
         assert "max throughput vs range" in out
 
+    @pytest.mark.parametrize("command", [
+        "link", "sweep", "robustness", "profile", "network", "serve"])
+    def test_unknown_scenario_is_one_error_line(self, command):
+        """Every command that takes ``--scenario`` refuses an unknown
+        preset with one error line listing the registered ones."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", command,
+             "--scenario", "nope"], env=_interpreter_env(),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "repro: error: unknown scenario 'nope'; registered: ")
+        assert "paper-1m" in lines[0]
+
+    @pytest.mark.parametrize("distance", ["-1", "0", "nan"])
+    def test_sweep_refuses_non_positive_distance(self, distance):
+        """Refused before any cell runs (a refused cell's missing point
+        used to crash the table)."""
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--distances", "1.0", distance,
+                  "--trials", "1"])
+        assert str(info.value.code) == \
+            f"repro: error: distance must be positive, got {distance} m"
+
 
     @pytest.mark.parametrize("override, path", [
         ("seed=abc", "seed"), ("link=3", "link"), ("nope=1", "nope"),
@@ -169,7 +196,15 @@ cell = run_exchange_batch(
     psdu=random_payload(1500, np.random.default_rng(9)),
     rngs=[np.random.default_rng(10 + b) for b in range(4)])
 loaded = [m for m in sys.modules if m.startswith("scipy")]
+service = [m for m in sys.modules if m in ("asyncio", "ssl")
+           or m == "repro.streaming" or m.startswith("repro.streaming.")]
 
+import repro
+names = ("RetryPolicy", "ServerThread", "ServiceClient",
+         "SessionMultiplexer", "StreamingDecoder", "StreamingServer")
+listed = set(names) <= set(dir(repro))
+lazy = [getattr(repro, n) for n in names]
+import repro.streaming
 import scipy.signal
 from dsp_oracle import ar1_lfilter
 from repro.channel.hardware import ar1_filter
@@ -178,6 +213,10 @@ w = w.reshape(3, 500)
 print(json.dumps({
     "decoded": [one.ok] + [r.reader.ok for r in cell],
     "loaded": loaded,
+    "service": service,
+    "service_names_listed": listed,
+    "service_names": [n for n, v in zip(names, lazy) if n in repro.__all__
+                      and v is getattr(repro.streaming, n)],
     "matches_lfilter": ar1_filter(w, 0.99, 0.1j).tobytes()
     == ar1_lfilter(w, 0.99, 0.1j).tobytes(),
     "kernel_reused": scipy.signal._signaltools._sigtools
@@ -186,15 +225,21 @@ print(json.dumps({
 """
 
 
+def _interpreter_env() -> dict:
+    """The environment of a new interpreter with ``src/`` and ``tests/``
+    on its path."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, tests] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def _fresh_interpreter(code: str) -> str:
     """Run ``code`` in a new interpreter with ``src/`` and ``tests/`` on
     its path; returns its standard output."""
-    src = str(Path(repro.__file__).resolve().parents[1])
-    tests = str(Path(__file__).resolve().parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, tests] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code],
+                          env=_interpreter_env(), capture_output=True,
+                          text=True, check=True).stdout
 
 
 class TestImportCost:
@@ -217,16 +262,35 @@ class TestImportCost:
         filters of ``FFT_MIN_TAPS`` or more taps imports it."""
         assert [m for m in loaded if m.startswith("scipy.fft")] == []
 
-    def test_synthesis_and_decode_load_no_scipy_package(self):
+    @pytest.fixture(scope="class")
+    def decoded(self):
+        """What a fresh process that synthesizes and decodes loads."""
+        return json.loads(_fresh_interpreter(_SYNTHESIZE_AND_DECODE))
+
+    def test_synthesis_and_decode_load_no_scipy_package(self, decoded):
         """A process that synthesizes a ``paper-1m`` exchange and a 4-row
         cell and decodes both loads no SciPy package: the AR(1) drift
         calls SciPy's compiled kernel, the only ``scipy.*`` module it
         loads.  A later ``import scipy.signal`` reuses that module, and
         the filter still equals ``lfilter`` byte for byte."""
-        out = json.loads(_fresh_interpreter(_SYNTHESIZE_AND_DECODE))
+        out = decoded
         assert len(out["decoded"]) == 5 and out["decoded"][0]
         assert "scipy" not in out["loaded"]
         assert "scipy.signal" not in out["loaded"]
         assert set(out["loaded"]) <= {"scipy.signal._sigtools"}
         assert out["matches_lfilter"]
         assert out["kernel_reused"]
+
+    def test_synthesis_and_decode_load_no_service_layer(self, decoded):
+        """Nor the streaming service: ``import repro`` resolves the six
+        top-level service names at their first access, so a process that
+        only synthesizes and decodes loads no ``asyncio``, ``ssl`` or
+        ``repro.streaming`` module.  ``dir(repro)`` still lists them, and
+        each then resolves, in the same process, to its
+        :mod:`repro.streaming` object."""
+        assert decoded["decoded"][0]
+        assert decoded["service"] == []
+        assert decoded["service_names_listed"]
+        assert decoded["service_names"] == [
+            "RetryPolicy", "ServerThread", "ServiceClient",
+            "SessionMultiplexer", "StreamingDecoder", "StreamingServer"]

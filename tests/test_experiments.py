@@ -66,6 +66,24 @@ class TestFig8:
         assert far <= near          # monotone-ish
         assert res.table is not None
 
+    def test_crashed_cell_reads_failed(self, monkeypatch):
+        """A cell whose evaluation raised is left out of the points and
+        reads ``failed`` in the table; the other cells still render."""
+        def eval_cell(args):
+            d, pre = args[0], args[1]
+            if d == 5.0:
+                raise RuntimeError("cell crashed")
+            return fig8.Fig8Point(d, pre, 2e6, None, float("nan"))
+
+        monkeypatch.setattr(fig8, "_eval_cell", eval_cell)
+        res = fig8.run(distances_m=(1.0, 5.0), preambles_us=(32.0,),
+                       trials=1, jobs=1)
+        assert [p.distance_m for p in res.points] == [1.0]
+        rows = {row[0]: row[1:] for row in res.table.rows}
+        assert rows["5"] == ("failed",)
+        assert rows["1"] == (fig8.format_si(2e6),)
+        assert "failed" in str(res.table)
+
 
 class TestFig9:
     def test_frontier_at_1m(self):

@@ -274,6 +274,27 @@ class TestTelemetryFeed:
         finally:
             sock.close()
 
+    def test_no_subscriber_no_loop_hop(self, tmp_path):
+        """With nobody on the feed, no completed span hops to the event
+        loop: each hop would wake the loop thread to deliver nothing."""
+        collector = TelemetryCollector(run_id="no-feed",
+                                       directory=tmp_path)
+        with _Service(collector=collector) as svc:
+            hops = []
+            broadcast = svc.server._broadcast
+            svc.server._broadcast = \
+                lambda record: (hops.append(record), broadcast(record))
+            before = len(collector.spans)
+            c = ServiceClient(port=svc.port)
+            try:
+                run_session(c, scenario=SCENARIO, exchanges=1,
+                            out=io.StringIO())
+            finally:
+                c.close()
+            assert len(collector.spans) > before
+            assert svc.unhandled() == []
+        assert hops == []
+
 
 SPAN_KEYS = {"v", "kind", "seq", "name", "parent_seq", "start_s",
              "wall_s", "probes"}
